@@ -28,7 +28,6 @@ import (
 	"opera/internal/core"
 	"opera/internal/experiments"
 	"opera/internal/factor"
-	"opera/internal/galerkin"
 	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/montecarlo"
@@ -149,8 +148,8 @@ func BenchmarkSolverAblation(b *testing.B) {
 }
 
 func BenchmarkOrderingAblation(b *testing.B) {
-	ords := []galerkin.Ordering{
-		galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderMD, galerkin.OrderNatural,
+	ords := []order.Method{
+		order.MethodND, order.MethodRCM, order.MethodMD, order.MethodNatural, order.MethodAMD,
 	}
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.RunOrderingAblation(1600, 2005, ords)

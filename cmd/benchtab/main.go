@@ -45,9 +45,9 @@ import (
 	"strings"
 
 	"opera/internal/experiments"
-	"opera/internal/galerkin"
 	"opera/internal/obs"
 	"opera/internal/obs/bench"
+	"opera/internal/order"
 )
 
 func main() {
@@ -180,8 +180,8 @@ func main() {
 		if *full {
 			nodes = 19181
 		}
-		rows, err := experiments.RunOrderingAblation(nodes, *seed, []galerkin.Ordering{
-			galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderMD, galerkin.OrderAMD, galerkin.OrderNatural,
+		rows, err := experiments.RunOrderingAblation(nodes, *seed, []order.Method{
+			order.MethodAMD, order.MethodND, order.MethodMD, order.MethodRCM, order.MethodNatural,
 		})
 		if err != nil {
 			return err

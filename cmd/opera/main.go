@@ -22,7 +22,6 @@ import (
 
 	"opera/internal/core"
 	"opera/internal/factor"
-	"opera/internal/galerkin"
 	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/netlist"
@@ -39,10 +38,10 @@ func main() {
 		netPath  = flag.String("netlist", "", "input netlist (OPERA text format); empty = generate")
 		nodes    = flag.Int("nodes", 10000, "node count when generating")
 		seed     = flag.Int64("seed", 1, "generator / sampling seed")
-		order    = flag.Int("order", 2, "chaos expansion order p")
+		chaosOrd = flag.Int("order", 2, "chaos expansion order p")
 		step     = flag.Float64("step", 1e-10, "time step (s)")
 		steps    = flag.Int("steps", 20, "number of time steps")
-		ordering = flag.String("ordering", "nd", "fill-reducing ordering: nd, rcm, md, amd, natural")
+		ordering = flag.String("ordering", "amd", "fill-reducing ordering of every factorization: amd, nd, md, rcm or natural")
 		track    = flag.String("track", "", "comma-separated node ids to report distributions for")
 		csvPath  = flag.String("csv", "", "write per-node moments at the final step as CSV")
 		mcCheck  = flag.Int("mc", 0, "also run Monte Carlo with this many samples and report accuracy")
@@ -67,13 +66,17 @@ func main() {
 		sweepOut     = flag.String("sweep-out", "", "append sweep result lines (JSON lines) to this file; an interrupted sweep resumes from it")
 	)
 	flag.Parse()
+	method, err := order.ParseMethod(*ordering)
+	if err != nil {
+		fatal("opera: %v", err)
+	}
 
 	sweeping := *sweepSeeds != "" || *sweepCorners != "" || *sweepLoads != ""
 	if sweeping && *remote == "" {
 		fatal("opera: sweep flags need -remote (an operag router, or comma-separated shard addresses)")
 	}
 	if *remote != "" {
-		req := buildRemoteRequest(*netPath, *nodes, *seed, *order,
+		req := buildRemoteRequest(*netPath, *nodes, *seed, *chaosOrd,
 			*step, *steps, *ordering, *track, *leakage, *sigmaI, *regions,
 			*workers, *priority, *timeout, *mcCheck)
 		req.TraceID = *traceID
@@ -98,8 +101,8 @@ func main() {
 	if *leakage {
 		spA.End()
 		runLeakage(nl, core.LeakageOptions{
-			Regions: *regions, SigmaLogI: *sigmaI, Order: *order,
-			Step: *step, Steps: *steps, Workers: *workers, Obs: tr,
+			Regions: *regions, SigmaLogI: *sigmaI, Order: *chaosOrd,
+			Step: *step, Steps: *steps, Ordering: method, Workers: *workers, Obs: tr,
 		})
 		return
 	}
@@ -110,8 +113,8 @@ func main() {
 	spA.SetAttrs(obs.Int("n", sys.N))
 	spA.End()
 	opts := core.Options{
-		Order: *order, Step: *step, Steps: *steps,
-		Ordering: parseOrdering(*ordering), Workers: *workers, Obs: tr,
+		Order: *chaosOrd, Step: *step, Steps: *steps,
+		Ordering: method, Workers: *workers, Obs: tr,
 	}
 	trackNodes := parseTrack(*track)
 	opts.TrackNodes = trackNodes
@@ -120,7 +123,7 @@ func main() {
 	// Eq. 14), not a hardcoded constant, so the printed size matches
 	// what is actually solved.
 	fmt.Printf("opera: %s, order %d (basis %d), %d steps of %.3g s\n",
-		nl.Stats(), *order, basisSize(mna.Dims, *order), *steps, *step)
+		nl.Stats(), *chaosOrd, basisSize(mna.Dims, *chaosOrd), *steps, *step)
 	var res *core.Result
 	if *adaptive {
 		ares, err := core.AnalyzeAdaptive(sys, core.AdaptiveOptions{Base: opts})
@@ -223,24 +226,6 @@ func loadOrGenerate(path string, nodes int, seed int64) *netlist.Netlist {
 		fatal("opera: %v", err)
 	}
 	return nl
-}
-
-func parseOrdering(s string) galerkin.Ordering {
-	switch s {
-	case "nd":
-		return galerkin.OrderND
-	case "rcm":
-		return galerkin.OrderRCM
-	case "md":
-		return galerkin.OrderMD
-	case "amd":
-		return galerkin.OrderAMD
-	case "natural":
-		return galerkin.OrderNatural
-	default:
-		fatal("opera: unknown ordering %q", s)
-		return 0
-	}
 }
 
 func parseTrack(s string) []int {

@@ -71,8 +71,7 @@ func main() {
 	var acc randvar.Running
 	pattern := uniSys.UnionPattern()
 	comp := sparse.Add(1, pattern, 1/opts.Step, pattern)
-	perm := order.NestedDissection(order.NewGraph(comp), 0)
-	sym := factor.CholAnalyze(comp, perm)
+	sym := factor.CholAnalyze(comp, order.Permute(opts.Ordering, comp))
 	var reuse factor.ScalarFactor
 	for k := 0; k < samples; k++ {
 		xiG := 2*rng.Float64() - 1

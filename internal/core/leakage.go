@@ -38,9 +38,10 @@ type LeakageOptions struct {
 	Steps int
 	// TrackNodes retains full expansions at these nodes.
 	TrackNodes []int
-	// Ordering selects the fill-reducing ordering of the decoupled
-	// companion factorization (default nested dissection).
-	Ordering galerkin.Ordering
+	// Ordering selects the fill-reducing ordering of the companion
+	// factorization (decoupled OPERA and RunLeakageMC); the zero value
+	// is AMD.
+	Ordering order.Method
 	// Workers caps the decoupled solver's per-basis worker pool; 0 or
 	// negative means GOMAXPROCS. Results are bit-identical for every
 	// value.
@@ -103,31 +104,33 @@ func buildLeakageSystem(nl *netlist.Netlist, opts LeakageOptions) (*galerkin.Sys
 	}
 	n := sys.N
 	ident := basis.CouplingIdentity()
+	var leaks []netlist.CurrentSource
+	for _, src := range nl.Sources {
+		if src.Leakage {
+			leaks = append(leaks, src)
+		}
+	}
 	ua := make([]float64, n)
+	iv := make([]float64, len(leaks)) // leakage currents at the step's time
 	rhs := func(t float64, out [][]float64) {
 		// Deterministic part: pads plus non-leakage sources.
 		sys.RHS(t, ua, nil, nil)
 		// Remove the leakage sources from the deterministic vector; they
-		// re-enter through their chaos coefficients.
-		for _, src := range nl.Sources {
-			if src.Leakage {
-				ua[src.A] += src.Wave.At(t)
-			}
+		// re-enter through their chaos coefficients. Each waveform is
+		// evaluated once here and reused for every basis function.
+		for k, src := range leaks {
+			iv[k] = src.Wave.At(t)
+			ua[src.A] += iv[k]
 		}
 		for m := range out {
 			dst := out[m]
 			if m == 0 {
 				copy(dst, ua)
 			} else {
-				for i := range dst {
-					dst[i] = 0
-				}
+				clear(dst)
 			}
-			for _, src := range nl.Sources {
-				if !src.Leakage {
-					continue
-				}
-				dst[src.A] -= src.Wave.At(t) * mult[src.Region][m]
+			for k, src := range leaks {
+				dst[src.A] -= iv[k] * mult[src.Region][m]
 			}
 		}
 	}
@@ -163,6 +166,8 @@ type LeakageMCResult struct {
 	Mean, Variance [][]float64
 	Elapsed        time.Duration
 	Samples        int
+	// FactorNNZ is nnz(L) of the companion factor every sample shares.
+	FactorNNZ int
 }
 
 // RunLeakageMC samples the per-region lognormal leakage multipliers and
@@ -183,8 +188,11 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 	n := sys.N
 	start := time.Now()
 	companion := sparse.Add(1, sys.Ga, 1/opts.Step, sys.Ca)
-	perm := order.NestedDissection(order.NewGraph(companion), 0)
-	comp, err := factor.CholeskyKernel(companion, perm, factor.KernelSupernodal)
+	// Ga's pattern is contained in the companion's, so the companion
+	// permutation serves the DC factor too.
+	perm := order.Permute(opts.Ordering, companion)
+	sym := factor.Analyze(companion, perm, factor.KernelSupernodal)
+	comp, err := sym.Refactorize(companion, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: leakage MC companion: %w", err)
 	}
@@ -245,9 +253,10 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 		}
 	}
 	res := &LeakageMCResult{
-		Mean:     alloc2(nsteps, n),
-		Variance: alloc2(nsteps, n),
-		Samples:  samples,
+		Mean:      alloc2(nsteps, n),
+		Variance:  alloc2(nsteps, n),
+		Samples:   samples,
+		FactorNNZ: sym.LNNZ(),
 	}
 	for s := 0; s < nsteps; s++ {
 		for i := 0; i < n; i++ {

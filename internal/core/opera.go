@@ -20,8 +20,10 @@ import (
 	"opera/internal/netlist"
 	"opera/internal/numguard"
 	"opera/internal/obs"
+	"opera/internal/order"
 	"opera/internal/pce"
 	"opera/internal/poly"
+	"opera/internal/sparse"
 	"opera/internal/transient"
 )
 
@@ -35,9 +37,10 @@ type Options struct {
 	// Variation holds the first-order sensitivities; zero value means
 	// mna.DefaultSpec (the paper's Table 1 setup).
 	Variation *mna.VariationSpec
-	// Ordering selects the fill-reducing ordering of the augmented
-	// factorization.
-	Ordering galerkin.Ordering
+	// Ordering selects the fill-reducing ordering of every
+	// factorization the analysis runs (Galerkin, Monte Carlo, nominal);
+	// the zero value is AMD.
+	Ordering order.Method
 	// Kernel selects the scalar Cholesky kernel (supernodal blocked
 	// panels by default; KernelScalar forces the up-looking reference —
 	// the ablation switch).
@@ -233,26 +236,54 @@ func (r *Result) MaxMeanDropNode() (node, step int) {
 	return node, step
 }
 
-// NominalRun computes the deterministic (no-variation) response µ0 used
-// by the paper's ±3σ-vs-µ0 metric: a plain transient on Ga, Ca, ua.
-func NominalRun(sys *mna.System, opts Options) ([][]float64, error) {
+// NominalResult is the deterministic (no-variation) transient: the
+// response and the companion factorization that produced it.
+type NominalResult struct {
+	// V[s][i] is node i's voltage at step s.
+	V [][]float64
+	// Symbolic is the stepper's companion analysis: the permutation,
+	// fill and flop count the nominal transient actually factored.
+	Symbolic factor.Analysis
+}
+
+// Nominal runs the plain backward-Euler transient on Ga, Ca, ua,
+// factoring the companion under opts.Ordering and opts.Kernel.
+func Nominal(sys *mna.System, opts Options) (*NominalResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	out := alloc2(opts.Steps+1, sys.N)
-	ua := make([]float64, sys.N)
-	err := transient.Run(sys.Ga, sys.Ca, func(t float64, u []float64) {
-		sys.RHS(t, ua, nil, nil)
-		copy(u, ua)
-	}, transient.Options{Step: opts.Step, Steps: opts.Steps, Method: transient.BackwardEuler, Progress: opts.Progress, Ctx: opts.Ctx},
-		func(step int, _ float64, x []float64) {
-			copy(out[step], x)
-		})
+	// G + C/h has the pattern of the stepper's companion.
+	perm := order.Permute(opts.Ordering, sparse.Add(1, sys.Ga, 1, sys.Ca))
+	st, err := transient.NewStepper(sys.Ga, sys.Ca, transient.Options{
+		Step: opts.Step, Steps: opts.Steps, Method: transient.BackwardEuler,
+		Perm: perm, Kernel: opts.Kernel, Progress: opts.Progress, Ctx: opts.Ctx,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	res := &NominalResult{V: alloc2(opts.Steps+1, sys.N), Symbolic: st.Symbolic()}
+	ua := make([]float64, sys.N)
+	err = st.Run(func(t float64, u []float64) {
+		sys.RHS(t, ua, nil, nil)
+		copy(u, ua)
+	}, func(step int, _ float64, x []float64) {
+		copy(res.V[step], x)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// NominalRun computes the deterministic (no-variation) response µ0 used
+// by the paper's ±3σ-vs-µ0 metric (Nominal's V).
+func NominalRun(sys *mna.System, opts Options) ([][]float64, error) {
+	res, err := Nominal(sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.V, nil
 }
 
 // RunMC executes the Monte Carlo baseline with matching time stepping.
@@ -261,7 +292,7 @@ func RunMC(sys *mna.System, opts Options, samples int, seed int64, trackNodes []
 	start := time.Now()
 	mc, err := montecarlo.Run(sys, montecarlo.Options{
 		Samples: samples, Step: opts.Step, Steps: opts.Steps,
-		Seed: seed, TrackNodes: trackNodes, Workers: opts.Workers, Obs: opts.Obs,
+		Ordering: opts.Ordering, Seed: seed, TrackNodes: trackNodes, Workers: opts.Workers, Obs: opts.Obs,
 		Progress: opts.Progress, Ctx: opts.Ctx,
 	})
 	return mc, time.Since(start), err

@@ -7,6 +7,7 @@ import (
 	"opera/internal/galerkin"
 	"opera/internal/mna"
 	"opera/internal/mor"
+	"opera/internal/order"
 	"opera/internal/pce"
 	"opera/internal/poly"
 	"opera/internal/sparse"
@@ -128,8 +129,8 @@ func AnalyzeReduced(sys *mna.System, ports []int, morMoments int, opts Options) 
 	startSolve := time.Now()
 	_, err = galerkin.Solve(gsys, galerkin.Options{
 		Step: opts.Step, Steps: opts.Steps,
-		Ordering: galerkin.OrderNatural, // the reduced system is dense and tiny
-		Workers:  1,                     // fan-out overhead dwarfs the k×k solves
+		Ordering: order.MethodNatural, // the reduced system is dense and tiny
+		Workers:  1,                   // fan-out overhead dwarfs the k×k solves
 	}, func(step int, _ float64, coeffs [][]float64) {
 		B := len(coeffs)
 		for j := range ports {

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"opera/internal/core"
-	"opera/internal/galerkin"
 	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/netlist"
 	"opera/internal/obs"
+	"opera/internal/order"
 	"opera/internal/report"
 )
 
@@ -82,14 +82,14 @@ func FormatOrderSweep(rows []OrderSweepRow) *report.Table {
 // OrderingRow records the augmented-factorization cost under one
 // fill-reducing ordering.
 type OrderingRow struct {
-	Ordering  galerkin.Ordering
+	Ordering  order.Method
 	FactorNNZ int
 	OperaTime time.Duration
 }
 
-// RunOrderingAblation compares ND, RCM, MD and natural orderings on the
-// augmented system of one grid.
-func RunOrderingAblation(nodes int, seed int64, orderings []galerkin.Ordering) ([]OrderingRow, error) {
+// RunOrderingAblation compares fill-reducing orderings on the augmented
+// system of one grid.
+func RunOrderingAblation(nodes int, seed int64, orderings []order.Method) ([]OrderingRow, error) {
 	nl, err := grid.Build(grid.DefaultSpec(nodes, seed))
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"opera/internal/galerkin"
+	"opera/internal/order"
 )
 
 // Small, fast configurations keep these integration tests in seconds;
@@ -132,7 +132,7 @@ func TestOrderSweep(t *testing.T) {
 
 func TestOrderingAblation(t *testing.T) {
 	rows, err := RunOrderingAblation(250, 9,
-		[]galerkin.Ordering{galerkin.OrderND, galerkin.OrderRCM, galerkin.OrderNatural})
+		[]order.Method{order.MethodND, order.MethodRCM, order.MethodNatural})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +143,9 @@ func TestOrderingAblation(t *testing.T) {
 	var nd, natural int
 	for _, r := range rows {
 		switch r.Ordering {
-		case galerkin.OrderND:
+		case order.MethodND:
 			nd = r.FactorNNZ
-		case galerkin.OrderNatural:
+		case order.MethodNatural:
 			natural = r.FactorNNZ
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"opera/internal/iterative"
 	"opera/internal/numguard"
 	"opera/internal/obs"
+	"opera/internal/order"
 	"opera/internal/parallel"
 	"opera/internal/sparse"
 )
@@ -35,7 +36,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	// Scalar union pattern over every operator term.
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
-	perm := permFor(pattern, opts.Ordering)
+	perm := order.Permute(opts.Ordering, pattern)
 	spO.End()
 
 	// Predict the block factor's memory from the scalar symbolic

@@ -10,6 +10,7 @@ import (
 	"opera/internal/numguard"
 	"opera/internal/numguard/inject"
 	"opera/internal/obs"
+	"opera/internal/order"
 	"opera/internal/parallel"
 	"opera/internal/sparse"
 )
@@ -29,7 +30,7 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 	n, b := sys.N, sys.Basis.Size()
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
-	perm := permFor(pattern, opts.Ordering)
+	perm := order.Permute(opts.Ordering, pattern)
 	spO.End()
 
 	spF := tr.Start("factor")

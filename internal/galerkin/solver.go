@@ -2,7 +2,6 @@ package galerkin
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -15,43 +14,13 @@ import (
 	"opera/internal/sparse"
 )
 
-// Ordering selects the fill-reducing permutation for the augmented
-// factorization.
-type Ordering int
-
-// Ordering choices.
-const (
-	OrderND Ordering = iota // nested dissection (default)
-	OrderRCM
-	OrderMD
-	OrderNatural
-	OrderAMD // approximate minimum degree
-)
-
-// String names the ordering.
-func (o Ordering) String() string {
-	switch o {
-	case OrderND:
-		return "nd"
-	case OrderRCM:
-		return "rcm"
-	case OrderMD:
-		return "md"
-	case OrderNatural:
-		return "natural"
-	case OrderAMD:
-		return "amd"
-	default:
-		return fmt.Sprintf("Ordering(%d)", int(o))
-	}
-}
-
 // Options configures the stochastic transient solve.
 type Options struct {
 	Step  float64 // fixed time step
 	Steps int
-	// Ordering for the augmented companion factorization.
-	Ordering Ordering
+	// Ordering selects the fill-reducing permutation of every
+	// factorization the solve runs; the zero value is AMD.
+	Ordering order.Method
 	// Kernel selects the scalar Cholesky kernel for the direct rungs
 	// (supernodal blocked panels by default; KernelScalar forces the
 	// up-looking reference kernel — the ablation switch).
@@ -105,46 +74,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("galerkin: need at least one step, got %d", o.Steps)
 	}
 	return nil
-}
-
-// linearSolver abstracts Cholesky/LU factors.
-type linearSolver interface {
-	SolveTo(x, b []float64)
-}
-
-// factorize tries Cholesky under the requested ordering and falls back
-// to LU if the matrix is not numerically positive definite.
-func factorize(a *sparse.Matrix, ord Ordering, forceLU bool) (linearSolver, string, error) {
-	perm := permFor(a, ord)
-	if !forceLU {
-		f, err := factor.Cholesky(a, perm)
-		if err == nil {
-			return f, "cholesky", nil
-		}
-		if !errors.Is(err, factor.ErrNotPositiveDefinite) {
-			return nil, "", err
-		}
-	}
-	lu, err := factor.LU(a, perm)
-	if err != nil {
-		return nil, "", fmt.Errorf("galerkin: LU fallback failed: %w", err)
-	}
-	return lu, "lu", nil
-}
-
-func permFor(a *sparse.Matrix, ord Ordering) []int {
-	switch ord {
-	case OrderNatural:
-		return nil
-	case OrderRCM:
-		return order.RCM(order.NewGraph(a))
-	case OrderMD:
-		return order.MinimumDegree(order.NewGraph(a))
-	case OrderAMD:
-		return order.AMD(order.NewGraph(a))
-	default:
-		return order.NestedDissection(order.NewGraph(a), 0)
-	}
 }
 
 // Result carries solver telemetry. Quantitative counters that used to
@@ -220,19 +149,20 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 	rep := &numguard.Report{}
 	rep.Bind(tr.Registry())
 	res.guard = rep
+	// The companion's pattern contains G̃0's, so one permutation serves
+	// both ladders.
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()))
-	permComp := permFor(companion, opts.Ordering)
-	permG0 := permFor(g0, opts.Ordering)
+	perm := order.Permute(opts.Ordering, companion)
 	spO.End()
 	spF := tr.Start("factor")
 	st := &factorStats{}
 	lad := numguard.NewLadder("step", opts.Guard, companion, companion.NormInf(),
-		scalarRungs(companion, permComp, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
+		scalarRungs(companion, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
 	if _, err := lad.Solver(0); err != nil {
 		return Result{}, fmt.Errorf("galerkin: decoupled companion factorization: %w", err)
 	}
 	dcLad := numguard.NewLadder("dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, permG0, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
+		scalarRungs(g0, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
 	spF.SetAttrs(obs.String("rung", lad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
 	spF.End()

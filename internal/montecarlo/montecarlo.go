@@ -48,6 +48,9 @@ type Options struct {
 	Steps   int
 	Method  transient.Method
 	Seed    int64
+	// Ordering selects the fill-reducing permutation of the shared
+	// symbolic analysis; the zero value is AMD.
+	Ordering order.Method
 	// Workers caps the sampling worker pool; 0 or negative means
 	// GOMAXPROCS. Results are identical for every value.
 	Workers int
@@ -272,8 +275,7 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 	}
 	union := sys.UnionPattern()
 	pattern := sparse.Add(1, union, scale, union)
-	perm := order.NestedDissection(order.NewGraph(pattern), 0)
-	sym := factor.Analyze(pattern, perm, factor.KernelSupernodal)
+	sym := factor.Analyze(pattern, order.Permute(opts.Ordering, pattern), factor.KernelSupernodal)
 
 	var lhsDraws [][]float64
 	if opts.LatinHypercube {

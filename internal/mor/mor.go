@@ -74,7 +74,7 @@ func Reduce(g, c *sparse.Matrix, opts Options) (*Reduced, error) {
 	}
 	// Factor (G + s0·C) once.
 	shifted := sparse.Add(1, g, s0, c)
-	perm := order.NestedDissection(order.NewGraph(shifted), 0)
+	perm := order.Permute(order.MethodAMD, shifted)
 	fac, err := factor.Cholesky(shifted, perm)
 	if err != nil {
 		return nil, fmt.Errorf("mor: shifted factorization: %w", err)

@@ -29,7 +29,7 @@ import (
 )
 
 // Scenario is one suite cell. Zero values select sane defaults
-// (Order 2, Steps 8, Samples 50, nested-dissection ordering, seed 1).
+// (Order 2, Steps 8, Samples 50, AMD ordering, seed 1).
 type Scenario struct {
 	// Name keys the row in reports; Compare pairs baseline and new rows
 	// by it, so renaming a scenario is a baseline-breaking change.
@@ -47,8 +47,8 @@ type Scenario struct {
 	Steps int `json:"steps,omitempty"`
 	// Samples is the Monte Carlo sample count (mc only).
 	Samples int `json:"samples,omitempty"`
-	// Ordering is the fill-reducing ordering: "nd" (default), "rcm",
-	// "md", "amd" or "natural".
+	// Ordering is the fill-reducing ordering of every path: "amd"
+	// (default), "nd", "md", "rcm" or "natural".
 	Ordering string `json:"ordering,omitempty"`
 	// Kernel selects the scalar Cholesky kernel: "" or "supernodal"
 	// (default, blocked panels), "scalar" (up-looking reference).
@@ -83,8 +83,8 @@ func QuickSuite() []Scenario {
 		{Name: "mc-256-s40", Path: "mc", Nodes: 256, Steps: 8, Samples: 40, Seed: 3},
 		{Name: "decoupled-256-o2", Path: "decoupled", Nodes: 256, Order: 2, Steps: 8, Seed: 3},
 		{Name: "coupled-128-o2", Path: "coupled", Nodes: 128, Order: 2, Steps: 6, Seed: 3},
-		{Name: "factor-2k-nd-scalar", Path: "factor", Nodes: 2000, Kernel: "scalar", Seed: 3},
-		{Name: "factor-2k-nd-super", Path: "factor", Nodes: 2000, Kernel: "supernodal", Seed: 3},
+		{Name: "factor-2k-nd-scalar", Path: "factor", Nodes: 2000, Ordering: "nd", Kernel: "scalar", Seed: 3},
+		{Name: "factor-2k-nd-super", Path: "factor", Nodes: 2000, Ordering: "nd", Kernel: "supernodal", Seed: 3},
 		{Name: "factor-2k-amd-scalar", Path: "factor", Nodes: 2000, Ordering: "amd", Kernel: "scalar", Seed: 3},
 		{Name: "factor-2k-amd-super", Path: "factor", Nodes: 2000, Ordering: "amd", Kernel: "supernodal", Seed: 3},
 	}
@@ -99,10 +99,10 @@ func DefaultSuite() []Scenario {
 		Scenario{Name: "decoupled-1k-o3", Path: "decoupled", Nodes: 1000, Order: 3, Steps: 10, Seed: 5},
 		Scenario{Name: "decoupled-1k-o3-rcm", Path: "decoupled", Nodes: 1000, Order: 3, Steps: 10, Ordering: "rcm", Seed: 5},
 		Scenario{Name: "decoupled-1k-o3-natural", Path: "decoupled", Nodes: 1000, Order: 3, Steps: 10, Ordering: "natural", Seed: 5},
-		Scenario{Name: "decoupled-1k-o3-amd", Path: "decoupled", Nodes: 1000, Order: 3, Steps: 10, Ordering: "amd", Seed: 5},
+		Scenario{Name: "decoupled-1k-o3-nd", Path: "decoupled", Nodes: 1000, Order: 3, Steps: 10, Ordering: "nd", Seed: 5},
 		Scenario{Name: "coupled-256-o2", Path: "coupled", Nodes: 256, Order: 2, Steps: 8, Seed: 5},
-		Scenario{Name: "factor-8k-nd-scalar", Path: "factor", Nodes: 8000, Kernel: "scalar", Seed: 5},
-		Scenario{Name: "factor-8k-nd-super", Path: "factor", Nodes: 8000, Kernel: "supernodal", Seed: 5},
+		Scenario{Name: "factor-8k-nd-scalar", Path: "factor", Nodes: 8000, Ordering: "nd", Kernel: "scalar", Seed: 5},
+		Scenario{Name: "factor-8k-nd-super", Path: "factor", Nodes: 8000, Ordering: "nd", Kernel: "supernodal", Seed: 5},
 		Scenario{Name: "factor-8k-amd-scalar", Path: "factor", Nodes: 8000, Ordering: "amd", Kernel: "scalar", Seed: 5},
 		Scenario{Name: "factor-8k-amd-super", Path: "factor", Nodes: 8000, Ordering: "amd", Kernel: "supernodal", Seed: 5},
 	)
@@ -157,7 +157,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 	if sc.Name == "" {
 		return Row{}, fmt.Errorf("scenario needs a name")
 	}
-	ord, err := parseOrdering(sc.Ordering)
+	ord, err := order.ParseMethod(sc.Ordering)
 	if err != nil {
 		return Row{}, err
 	}
@@ -172,7 +172,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 	}
 	row := Row{
 		Name: sc.Name, Path: sc.Path, Nodes: sc.Nodes,
-		Order: sc.Order, Steps: sc.Steps, Ordering: ordName(ord),
+		Order: sc.Order, Steps: sc.Steps, Ordering: ord.String(),
 		Kernel: kern.String(),
 	}
 	sp := opts.Tracer.Start("bench."+sc.Name,
@@ -188,18 +188,14 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 			return Row{}, berr
 		}
 		row.N = sys.N
-		_, err = core.NominalRun(sys, core.Options{
-			Order: 1, Step: step, Steps: sc.Steps, Workers: opts.Workers,
+		var nom *core.NominalResult
+		nom, err = core.Nominal(sys, core.Options{
+			Order: 1, Step: step, Steps: sc.Steps, Ordering: ord, Kernel: kern, Workers: opts.Workers,
 		})
 		if err == nil {
-			// The nominal path exposes no factor telemetry; the companion
-			// symbolic analysis is cheap, deterministic and exactly what the
-			// solve factorizes, so reproduce it for the report.
-			companion := sparse.Add(1, sys.Ga, 1/step, sys.Ca)
-			sym := factor.CholAnalyze(companion, order.NestedDissection(order.NewGraph(companion), 0))
-			row.FactorNNZ = sym.LNNZ()
-			row.FactorFlops = sym.FlopEstimate()
-			row.FillRatio = sym.FillRatio()
+			row.FactorNNZ = nom.Symbolic.LNNZ()
+			row.FactorFlops = nom.Symbolic.FlopEstimate()
+			row.FillRatio = nom.Symbolic.FillRatio()
 		}
 	case "mc":
 		sys, berr := mna.Build(nl, mna.DefaultSpec())
@@ -209,7 +205,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		row.N = sys.N
 		row.Samples = sc.Samples
 		var mc *montecarloResult
-		mc, err = runMC(sys, sc, opts.Workers)
+		mc, err = runMC(sys, sc, ord, opts.Workers)
 		if err == nil {
 			row.FactorNNZ = mc.FactorNNZ
 			row.FactorFlops = mc.FactorFlops
@@ -250,8 +246,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		}
 		row.N = sys.N
 		companion := sparse.Add(1, sys.Ga, 1/step, sys.Ca)
-		perm := orderingPerm(ord, companion)
-		sym := factor.Analyze(companion, perm, kern)
+		sym := factor.Analyze(companion, order.Permute(ord, companion), kern)
 		if ss, ok := sym.(*factor.SuperSymbolic); ok {
 			ss.Workers = parallel.Workers(opts.Workers)
 		}
@@ -311,9 +306,9 @@ type montecarloResult struct {
 	FactorFlops int64
 }
 
-func runMC(sys *mna.System, sc Scenario, workers int) (*montecarloResult, error) {
+func runMC(sys *mna.System, sc Scenario, ord order.Method, workers int) (*montecarloResult, error) {
 	mc, _, err := core.RunMC(sys, core.Options{
-		Order: 1, Step: 1e-10, Steps: sc.Steps, Workers: workers,
+		Order: 1, Step: 1e-10, Steps: sc.Steps, Ordering: ord, Workers: workers,
 	}, sc.Samples, sc.Seed, nil)
 	if err != nil {
 		return nil, err
@@ -322,23 +317,6 @@ func runMC(sys *mna.System, sc Scenario, workers int) (*montecarloResult, error)
 		SamplesRun: mc.SamplesRun, FactorNNZ: mc.FactorNNZ,
 		FillRatio: mc.FillRatio, FactorFlops: mc.FactorFlops,
 	}, nil
-}
-
-func parseOrdering(s string) (galerkin.Ordering, error) {
-	switch s {
-	case "", "nd":
-		return galerkin.OrderND, nil
-	case "rcm":
-		return galerkin.OrderRCM, nil
-	case "md":
-		return galerkin.OrderMD, nil
-	case "amd":
-		return galerkin.OrderAMD, nil
-	case "natural":
-		return galerkin.OrderNatural, nil
-	default:
-		return 0, fmt.Errorf("unknown ordering %q", s)
-	}
 }
 
 func parseKernel(s string) (factor.Kernel, error) {
@@ -356,27 +334,6 @@ func parseKernel(s string) (factor.Kernel, error) {
 // repetitions that the numeric kernel dominates the row's wall time
 // over the one-off symbolic analysis and ordering.
 const factorReps = 5
-
-// orderingPerm computes the fill-reducing permutation for the factor
-// path (mirrors the galerkin solver's ordering dispatch).
-func orderingPerm(o galerkin.Ordering, m *sparse.Matrix) []int {
-	if o == galerkin.OrderNatural {
-		return nil
-	}
-	g := order.NewGraph(m)
-	switch o {
-	case galerkin.OrderRCM:
-		return order.RCM(g)
-	case galerkin.OrderMD:
-		return order.MinimumDegree(g)
-	case galerkin.OrderAMD:
-		return order.AMD(g)
-	default:
-		return order.NestedDissection(g, 0)
-	}
-}
-
-func ordName(o galerkin.Ordering) string { return o.String() }
 
 // totalAllocBytes reads the cumulative heap allocation counter — the
 // same runtime/metrics sample the obs tracer uses for span alloc

@@ -35,7 +35,7 @@ func AMD(g *Graph) []int {
 	for v := 0; v < n; v++ {
 		deg[v] = g.Degree(v)
 	}
-	buckets := newDegBuckets(deg, n)
+	queue := newDegQueue(deg)
 
 	mark := make([]int, n) // Lp membership stamp
 	for i := range mark {
@@ -61,7 +61,7 @@ func AMD(g *Graph) []int {
 	lp := make([]int, 0, n)
 	perm := make([]int, 0, n)
 	for k := 0; k < n; k++ {
-		p := buckets.PopMin()
+		p := queue.PopMin()
 		// Build Lp = (Av ∪ ⋃ Le) \ {p}: the boundary of the new element.
 		stamp++
 		mark[p] = stamp
@@ -163,7 +163,7 @@ func AMD(g *Graph) []int {
 				d = 0
 			}
 			deg[v] = d
-			buckets.Update(v, d)
+			queue.Update(v, d)
 		}
 	}
 	return perm

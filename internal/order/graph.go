@@ -1,10 +1,11 @@
 // Package order provides fill-reducing orderings for sparse symmetric
-// factorization: reverse Cuthill–McKee (bandwidth reduction), George–Liu
-// automatic nested dissection (the workhorse for mesh-structured power
-// grids), and a minimum-degree ordering. All orderings operate on the
+// factorization: approximate minimum degree (the default), George–Liu
+// automatic nested dissection, exact minimum degree and reverse
+// Cuthill–McKee (bandwidth reduction). All orderings operate on the
 // undirected adjacency graph of A + Aᵀ with the diagonal removed and
 // return a permutation p in "new = old[p[new]]" convention, suitable for
-// sparse.Matrix.SymPerm.
+// sparse.Matrix.SymPerm. Solvers select one by Method and compute it
+// with Permute.
 package order
 
 import "opera/internal/sparse"

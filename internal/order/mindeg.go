@@ -76,11 +76,11 @@ func MinimumDegree(g *Graph) []int {
 	// (The previous LIFO bucket pop was deterministic but tied to
 	// insertion history, which is much harder to reason about — and to
 	// keep aligned with AMD, which promises the same rule.)
-	buckets := newDegBuckets(deg, n)
+	queue := newDegQueue(deg)
 
 	perm := make([]int, 0, n)
 	for len(perm) < n {
-		v := buckets.PopMin()
+		v := queue.PopMin()
 		// Eliminate v.
 		bnd := reach(v, scratch)
 		scratch = bnd
@@ -99,7 +99,7 @@ func MinimumDegree(g *Graph) []int {
 			elemAdj[w] = append(elemAdj[w], eid)
 			nd := len(reach(w, scratch[:0]))
 			deg[w] = nd
-			buckets.Update(w, nd)
+			queue.Update(w, nd)
 		}
 	}
 	return perm

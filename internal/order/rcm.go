@@ -6,15 +6,6 @@ import (
 	"opera/internal/obs"
 )
 
-// Natural returns the identity permutation of length n.
-func Natural(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
 // RCM computes the reverse Cuthill–McKee ordering of the graph of a
 // square matrix. It processes every connected component, rooting each at
 // a pseudo-peripheral vertex, and returns the permutation p such that

@@ -16,10 +16,10 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"opera/internal/galerkin"
 	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/obs"
+	"opera/internal/order"
 )
 
 // Analysis kinds accepted by Request.Analysis.
@@ -52,7 +52,7 @@ type Request struct {
 	Order        int     `json:"order,omitempty"`
 	Step         float64 `json:"step,omitempty"`
 	Steps        int     `json:"steps,omitempty"`
-	Ordering     string  `json:"ordering,omitempty"` // nd|rcm|md|amd|natural
+	Ordering     string  `json:"ordering,omitempty"` // amd (default)|nd|md|rcm|natural; every analysis kind
 	TrackNodes   []int   `json:"track_nodes,omitempty"`
 	ForceCoupled bool    `json:"force_coupled,omitempty"`
 	ForceLU      bool    `json:"force_lu,omitempty"`
@@ -109,7 +109,7 @@ func (r *Request) Normalize() {
 		r.Steps = 20
 	}
 	if r.Ordering == "" {
-		r.Ordering = "nd"
+		r.Ordering = order.MethodAMD.String()
 	}
 	if r.Analysis == KindMC && r.Samples == 0 {
 		r.Samples = 200
@@ -148,8 +148,8 @@ func (r *Request) Validate() error {
 	default:
 		return fmt.Errorf("service: unknown analysis kind %q", r.Analysis)
 	}
-	if _, err := ParseOrdering(r.Ordering); err != nil {
-		return err
+	if _, err := order.ParseMethod(r.Ordering); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if r.Order < 1 {
 		return fmt.Errorf("service: order must be >= 1, got %d", r.Order)
@@ -177,24 +177,6 @@ func (r *Request) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParseOrdering maps the wire spelling to the galerkin enum.
-func ParseOrdering(s string) (galerkin.Ordering, error) {
-	switch s {
-	case "", "nd":
-		return galerkin.OrderND, nil
-	case "rcm":
-		return galerkin.OrderRCM, nil
-	case "md":
-		return galerkin.OrderMD, nil
-	case "amd":
-		return galerkin.OrderAMD, nil
-	case "natural":
-		return galerkin.OrderNatural, nil
-	default:
-		return 0, fmt.Errorf("service: unknown ordering %q", s)
-	}
 }
 
 // cacheKeyPayload is the canonical content of a request: every field

@@ -23,6 +23,7 @@ import (
 	"opera/internal/numguard"
 	"opera/internal/obs"
 	"opera/internal/obs/logx"
+	"opera/internal/order"
 	"opera/internal/parallel"
 	"opera/internal/service/inject"
 )
@@ -1089,7 +1090,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 	spA.SetAttrs(obs.Int("nodes", nl.NumNodes))
 	spA.End()
 	tr := j.tracer
-	ordering, _ := ParseOrdering(req.Ordering)
+	ordering, _ := order.ParseMethod(req.Ordering)
 	workers := req.Workers
 	if workers == 0 {
 		workers = s.opts.SolverWorkers
@@ -1100,7 +1101,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 		res, err := core.AnalyzeLeakage(nl, core.LeakageOptions{
 			Regions: req.Regions, SigmaLogI: req.SigmaLogI,
 			Order: req.Order, Step: req.Step, Steps: req.Steps,
-			TrackNodes: req.TrackNodes, Workers: workers,
+			Ordering: ordering, TrackNodes: req.TrackNodes, Workers: workers,
 			Obs: tr, Progress: j.progress, Ctx: j.ctx,
 		})
 		if err != nil {
@@ -1116,7 +1117,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		jr, err = s.executeMC(j, sys, workers, tr)
+		jr, err = s.executeMC(j, sys, ordering, workers, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -1154,12 +1155,12 @@ func (s *Server) execute(j *job) ([]byte, error) {
 // for this content key, periodic checkpointing at merged-chunk
 // boundaries, and a degraded partial result when a deadline or drain
 // interrupts the sampling.
-func (s *Server) executeMC(j *job, sys *mna.System, workers int, tr *obs.Tracer) (*JobResult, error) {
+func (s *Server) executeMC(j *job, sys *mna.System, ordering order.Method, workers int, tr *obs.Tracer) (*JobResult, error) {
 	req := j.req
 	start := time.Now()
 	mcOpts := montecarlo.Options{
 		Samples: req.Samples, Step: req.Step, Steps: req.Steps,
-		Seed: req.Seed, Workers: workers, Obs: tr,
+		Ordering: ordering, Seed: req.Seed, Workers: workers, Obs: tr,
 		Progress: j.progress, Ctx: j.ctx,
 	}
 	resumed := 0

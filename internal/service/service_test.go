@@ -50,7 +50,7 @@ func newTestServer(t *testing.T, opts Options) *Server {
 
 func TestRequestKeyCanonical(t *testing.T) {
 	// Spelled-out defaults hash like omitted ones.
-	a := Request{Netlist: "x", Analysis: "opera", Order: 2, Step: 1e-10, Steps: 20, Ordering: "nd"}
+	a := Request{Netlist: "x", Analysis: "opera", Order: 2, Step: 1e-10, Steps: 20, Ordering: "amd"}
 	b := Request{Netlist: "x"}
 	a.Normalize()
 	b.Normalize()
@@ -68,6 +68,12 @@ func TestRequestKeyCanonical(t *testing.T) {
 	d.Normalize()
 	if d.Key() == a.Key() {
 		t.Error("different order must change the key")
+	}
+	// An explicit non-default ordering is a different computation.
+	e := Request{Netlist: "x", Ordering: "nd"}
+	e.Normalize()
+	if e.Key() == a.Key() {
+		t.Error("ordering nd must not share the default (amd) key")
 	}
 }
 

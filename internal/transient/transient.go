@@ -429,23 +429,32 @@ func Run(g, c *sparse.Matrix, rhs func(t float64, u []float64), opts Options, vi
 	if err != nil {
 		return err
 	}
+	return st.Run(rhs, visit)
+}
+
+// Run drives a fresh stepper through the transient its options
+// describe, exactly as the package-level Run does; callers that build
+// the stepper themselves keep it for its telemetry (Symbolic,
+// Factorer) afterwards.
+func (s *Stepper) Run(rhs func(t float64, u []float64), visit func(step int, t float64, x []float64)) error {
+	opts := s.opts
 	if err := cancel.Poll(opts.Ctx, "transient", 0); err != nil {
 		return err
 	}
-	u := make([]float64, st.N)
+	u := make([]float64, s.N)
 	start := 1
 	if opts.Resume != nil {
-		if err := st.Restore(opts.Resume); err != nil {
+		if err := s.Restore(opts.Resume); err != nil {
 			return err
 		}
 		start = opts.Resume.Step + 1
 	} else {
 		rhs(0, u)
-		if err := st.InitDC(u); err != nil {
+		if err := s.InitDC(u); err != nil {
 			return err
 		}
 		if visit != nil {
-			visit(0, 0, st.State())
+			visit(0, 0, s.State())
 		}
 	}
 	for k := start; k <= opts.Steps; k++ {
@@ -454,11 +463,11 @@ func Run(g, c *sparse.Matrix, rhs func(t float64, u []float64), opts Options, vi
 		}
 		t := float64(k) * opts.Step
 		rhs(t, u)
-		if err := st.Advance(u); err != nil {
+		if err := s.Advance(u); err != nil {
 			return err
 		}
 		if visit != nil {
-			visit(k, t, st.State())
+			visit(k, t, s.State())
 		}
 	}
 	return nil
