@@ -13,6 +13,7 @@ import (
 	"opera/internal/netlist"
 	"opera/internal/obs"
 	"opera/internal/order"
+	"opera/internal/parallel"
 	"opera/internal/pce"
 	"opera/internal/poly"
 	"opera/internal/randvar"
@@ -42,15 +43,15 @@ type LeakageOptions struct {
 	// factorization (decoupled OPERA and RunLeakageMC); the zero value
 	// is AMD.
 	Ordering order.Method
-	// Workers caps the decoupled solver's per-basis worker pool; 0 or
-	// negative means GOMAXPROCS. Results are bit-identical for every
-	// value.
+	// Workers caps the worker pool of the decoupled solver's column
+	// chunks and of RunLeakageMC's sample chunks; 0 or negative means
+	// GOMAXPROCS. Results are bit-identical for every value.
 	Workers int
 	// Obs, when non-nil, receives the pipeline phase spans and solver
 	// metrics (see Options.Obs).
 	Obs *obs.Tracer
-	// Progress, when non-nil, is marked per sample and per step (see
-	// Options.Progress).
+	// Progress, when non-nil, is marked per step, in OPERA and in each
+	// sample block of RunLeakageMC (see Options.Progress).
 	Progress *obs.Progress
 	// Ctx, when non-nil, cancels the analysis cooperatively (see
 	// Options.Ctx).
@@ -102,14 +103,20 @@ func buildLeakageSystem(nl *netlist.Netlist, opts LeakageOptions) (*galerkin.Sys
 	for r := range mult {
 		mult[r] = basis.LognormalCoefficients(r, mu, opts.SigmaLogI)
 	}
-	n := sys.N
-	ident := basis.CouplingIdentity()
-	var leaks []netlist.CurrentSource
-	for _, src := range nl.Sources {
-		if src.Leakage {
-			leaks = append(leaks, src)
+	// reached[m] reports whether some region's multiplier has a nonzero
+	// coefficient on basis function m. Only the mean and the pure powers
+	// ξ_r^k are reached; every other block is an exact +0 at all times.
+	reached := make([]bool, basis.Size())
+	for _, mr := range mult {
+		for m, v := range mr {
+			if v != 0 {
+				reached[m] = true
+			}
 		}
 	}
+	n := sys.N
+	ident := basis.CouplingIdentity()
+	leaks := leakageSources(nl)
 	ua := make([]float64, n)
 	iv := make([]float64, len(leaks)) // leakage currents at the step's time
 	rhs := func(t float64, out [][]float64) {
@@ -128,6 +135,9 @@ func buildLeakageSystem(nl *netlist.Netlist, opts LeakageOptions) (*galerkin.Sys
 				copy(dst, ua)
 			} else {
 				clear(dst)
+				if !reached[m] {
+					continue // subtracting iv·0 would leave the +0 as it is
+				}
 			}
 			for k, src := range leaks {
 				dst[src.A] -= iv[k] * mult[src.Region][m]
@@ -170,10 +180,32 @@ type LeakageMCResult struct {
 	FactorNNZ int
 }
 
+// leakMCBlock caps how many samples RunLeakageMC steps together, which
+// bounds its per-sample state to leakMCBlock vectors of length n.
+const leakMCBlock = 64
+
+// leakageSources lists the netlist's leakage current sources in netlist
+// order.
+func leakageSources(nl *netlist.Netlist) []netlist.CurrentSource {
+	var leaks []netlist.CurrentSource
+	for _, src := range nl.Sources {
+		if src.Leakage {
+			leaks = append(leaks, src)
+		}
+	}
+	return leaks
+}
+
 // RunLeakageMC samples the per-region lognormal leakage multipliers and
 // runs deterministic transients. Because the operator is fixed, one
 // companion factorization serves every sample — the strongest version
-// of the baseline.
+// of the baseline — and the samples are the columns of batched solves:
+// blocks of up to leakMCBlock samples step together, each step solving
+// one contiguous chunk of samples per worker with one SuperFactor
+// SolveMany. Multipliers are drawn up front in sample order from one
+// stream and every accumulator takes its samples in order, so the
+// moments are bit-identical for every worker count and equal to
+// stepping the samples one at a time.
 func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed int64) (*LeakageMCResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -191,65 +223,82 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 	// Ga's pattern is contained in the companion's, so the companion
 	// permutation serves the DC factor too.
 	perm := order.Permute(opts.Ordering, companion)
-	sym := factor.Analyze(companion, perm, factor.KernelSupernodal)
-	comp, err := sym.Refactorize(companion, nil)
+	sym := factor.CholAnalyzeSupernodal(companion, perm, -1)
+	comp, err := sym.Factorize(companion, nil, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: leakage MC companion: %w", err)
 	}
-	gfac, err := factor.CholeskyKernel(sys.Ga, perm, factor.KernelSupernodal)
+	gfac, err := factor.CholAnalyzeSupernodal(sys.Ga, perm, -1).Factorize(sys.Ga, nil, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: leakage MC DC: %w", err)
 	}
 	rng := randvar.NewStream(seed, 0)
+	sigma := opts.SigmaLogI
+	mult := alloc2(samples, opts.Regions)
+	for k := range mult {
+		for r := range mult[k] {
+			mult[k][r] = math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+		}
+	}
 	nsteps := opts.Steps + 1
 	acc := make([][]randvar.Running, nsteps)
 	for s := range acc {
 		acc[s] = make([]randvar.Running, n)
 	}
+	leaks := leakageSources(nl)
+	block := min(samples, leakMCBlock)
+	workers := min(parallel.Workers(opts.Workers), block)
+	// x[j] is sample j's state; each step forms the sample's right-hand
+	// side in it and solves in place (SolveMany allows x[c] == b[c]).
+	x := alloc2(block, n)
+	cx := alloc2(workers, n)
 	ua := make([]float64, n)
-	u := make([]float64, n)
-	x := make([]float64, n)
-	cx := make([]float64, n)
-	b := make([]float64, n)
-	xi := make([]float64, opts.Regions)
-	multiplier := make([]float64, opts.Regions)
-	sigma := opts.SigmaLogI
-	rhsAt := func(t float64) {
-		sys.RHS(t, ua, nil, nil)
-		copy(u, ua)
-		for _, src := range nl.Sources {
-			if !src.Leakage {
-				continue
+	iv := make([]float64, len(leaks))
+	var lo, step int // the block's first sample and the step being solved
+	solveChunk := func(worker, a, b int) error {
+		for j := a; j < b; j++ {
+			xj, m := x[j], mult[lo+j]
+			if step > 0 {
+				sys.Ca.MulVec(cx[worker], xj)
 			}
-			iv := src.Wave.At(t)
-			u[src.A] += iv                          // remove nominal draw
-			u[src.A] -= iv * multiplier[src.Region] // apply lognormal draw
+			copy(xj, ua)
+			for k, src := range leaks {
+				xj[src.A] += iv[k]                 // remove nominal draw
+				xj[src.A] -= iv[k] * m[src.Region] // apply lognormal draw
+			}
+			if step > 0 {
+				for i := range xj {
+					xj[i] = cx[worker][i]/opts.Step + xj[i]
+				}
+			}
 		}
+		if step == 0 {
+			gfac.SolveMany(x[a:b], x[a:b])
+		} else {
+			comp.SolveMany(x[a:b], x[a:b])
+		}
+		return nil
 	}
-	for k := 0; k < samples; k++ {
-		if err := cancel.Poll(opts.Ctx, "leakage-mc", k); err != nil {
-			return nil, err
-		}
-		opts.Progress.Mark()
-		for r := range xi {
-			xi[r] = rng.NormFloat64()
-			multiplier[r] = math.Exp(sigma*xi[r] - sigma*sigma/2)
-		}
-		rhsAt(0)
-		gfac.SolveTo(x, u)
-		for i, v := range x {
-			acc[0][i].Push(v)
-		}
-		for s := 1; s <= opts.Steps; s++ {
-			rhsAt(float64(s) * opts.Step)
-			sys.Ca.MulVec(cx, x)
-			for i := range b {
-				b[i] = cx[i]/opts.Step + u[i]
+	for lo = 0; lo < samples; lo += block {
+		k := min(block, samples-lo)
+		for step = 0; step <= opts.Steps; step++ {
+			if err := cancel.Poll(opts.Ctx, "leakage-mc", lo); err != nil {
+				return nil, err
 			}
-			comp.SolveTo(x, b)
-			for i, v := range x {
-				acc[s][i].Push(v)
+			t := float64(step) * opts.Step
+			sys.RHS(t, ua, nil, nil)
+			for i, src := range leaks {
+				iv[i] = src.Wave.At(t)
 			}
+			if err := parallel.Split(workers, k, solveChunk); err != nil {
+				return nil, err
+			}
+			for j := 0; j < k; j++ {
+				for i, v := range x[j] {
+					acc[step][i].Push(v)
+				}
+			}
+			opts.Progress.Mark()
 		}
 	}
 	res := &LeakageMCResult{

@@ -3,7 +3,8 @@ package factor
 import "sync"
 
 // solveScratch pools the permutation/work vectors of the SolveTo
-// convenience wrappers so the steady state of a transient loop — the
+// convenience wrappers, and the interleaved blocks of SolveMany and
+// the block solves, so the steady state of a transient loop — the
 // same factor solved thousands of times — performs no per-solve
 // allocations. Callers that want explicit control use the
 // SolveToWithScratch variants instead. The pool stores *[]float64

@@ -1,9 +1,13 @@
 package galerkin
 
 import (
+	"math"
 	"testing"
 
 	"opera/internal/mna"
+	"opera/internal/numguard"
+	"opera/internal/obs"
+	"opera/internal/order"
 	"opera/internal/pce"
 	"opera/internal/sparse"
 )
@@ -93,7 +97,7 @@ func assertIdenticalCoeffs(t *testing.T, ref, got [][][]float64, workers int) {
 	for s := range ref {
 		for m := range ref[s] {
 			for i := range ref[s][m] {
-				if got[s][m][i] != ref[s][m][i] {
+				if math.Float64bits(got[s][m][i]) != math.Float64bits(ref[s][m][i]) {
 					t.Fatalf("workers=%d: coefficient differs at step %d basis %d node %d: %.17g vs %.17g",
 						workers, s, m, i, got[s][m][i], ref[s][m][i])
 				}
@@ -109,7 +113,8 @@ func TestDecoupledParallelDeterminism(t *testing.T) {
 	gsys := rhsOnlySystem(t, 2)
 	base := Options{Step: tStep, Steps: 12}
 	var ref [][][]float64
-	for _, w := range []int{1, 2, 4} {
+	// 3 and 7 split the live columns unevenly (7 exceeds them).
+	for _, w := range []int{1, 2, 3, 4, 7} {
 		opts := base
 		opts.Workers = w
 		snaps, res := collectCoeffs(t, gsys, opts)
@@ -121,6 +126,106 @@ func TestDecoupledParallelDeterminism(t *testing.T) {
 			continue
 		}
 		assertIdenticalCoeffs(t, ref, snaps, w)
+	}
+}
+
+// perColumnDecoupled is the reference for the batched decoupled path:
+// every basis column solved on its own through the numguard ladders at
+// every step, excited or not — the per-basis loop solveDecoupled ran
+// before its solves were batched and unexcited columns skipped.
+func perColumnDecoupled(t *testing.T, sys *System, opts Options) [][][]float64 {
+	t.Helper()
+	n, b := sys.N, sys.Basis.Size()
+	g0 := sumTerms(sys.GTerms, n)
+	c0 := sumTerms(sys.CTerms, n)
+	companion := sparse.Add(1, g0, 1/opts.Step, c0)
+	perm := order.Permute(opts.Ordering, companion)
+	lad := numguard.NewLadder("step", opts.Guard, companion, companion.NormInf(),
+		scalarRungs(companion, perm, opts.Kernel, 1, opts.Guard, false, nil), nil)
+	dcLad := numguard.NewLadder("dc", opts.Guard, g0, g0.NormInf(),
+		scalarRungs(g0, perm, opts.Kernel, 1, opts.Guard, false, nil), nil)
+	blocks, rhs := alloc2(b, n), alloc2(b, n)
+	cx, r := make([]float64, n), make([]float64, n)
+	snaps := make([][][]float64, opts.Steps+1)
+	snap := func(k int) {
+		snaps[k] = alloc2(b, n)
+		for m := range blocks {
+			copy(snaps[k][m], blocks[m])
+		}
+	}
+	sys.RHS(0, rhs)
+	for m := range blocks {
+		if err := dcLad.Solve(0, blocks[m], rhs[m]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap(0)
+	for k := 1; k <= opts.Steps; k++ {
+		sys.RHS(float64(k)*opts.Step, rhs)
+		for m := range blocks {
+			c0.MulVec(cx, blocks[m])
+			for i := range r {
+				r[i] = rhs[m][i] + cx[i]/opts.Step
+			}
+			if err := lad.Solve(k, blocks[m], r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap(k)
+	}
+	return snaps
+}
+
+// TestDecoupledSkipsUnexcitedColumns checks the live-column rule: on
+// the RHS-only grid the excitation reaches 3 of the 6 order-2 basis
+// columns (the mean and the two linear terms), the other 3 are never
+// solved and stay exactly +0 at every step, the transient span records
+// 3 live columns, and every coefficient equals the per-column ladder's.
+func TestDecoupledSkipsUnexcitedColumns(t *testing.T) {
+	gsys := rhsOnlySystem(t, 2)
+	for _, w := range []int{1, 2} {
+		opts := Options{Step: tStep, Steps: 12, Workers: w}
+		ref := perColumnDecoupled(t, gsys, opts)
+		// The columns the excitation never reaches, from the RHS itself.
+		reached := make([]bool, gsys.Basis.Size())
+		rhs := alloc2(gsys.Basis.Size(), gsys.N)
+		for k := 0; k <= opts.Steps; k++ {
+			gsys.RHS(float64(k)*opts.Step, rhs)
+			for m := range rhs {
+				reached[m] = reached[m] || !allZero(rhs[m])
+			}
+		}
+		var dead []int
+		for m, on := range reached {
+			if !on {
+				dead = append(dead, m)
+			}
+		}
+		if len(dead) != 3 {
+			t.Fatalf("%d unexcited columns %v, want 3 of %d", len(dead), dead, len(reached))
+		}
+		tr := obs.New("decoupled")
+		opts.Obs = tr
+		snaps, _ := collectCoeffs(t, gsys, opts)
+		for k := range snaps {
+			for _, m := range dead {
+				for i, v := range snaps[k][m] {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("workers=%d step %d: unexcited column %d node %d = %g, want +0", w, k, m, i, v)
+					}
+				}
+			}
+		}
+		assertIdenticalCoeffs(t, ref, snaps, w)
+		var live string
+		for _, sp := range tr.Dump().Spans {
+			if sp.Name == "transient" {
+				live = sp.Attrs["live_columns"]
+			}
+		}
+		if live != "3" {
+			t.Errorf("workers=%d: transient span live_columns = %q, want 3", w, live)
+		}
 	}
 }
 

@@ -35,9 +35,9 @@ type Options struct {
 	// path instead of the direct block factorization.
 	Iterative bool
 	// Workers caps the worker pool of the decoupled fast path's
-	// per-basis fan-out and the coupled paths' row-parallel block apply;
-	// 0 or negative means GOMAXPROCS. Results are bit-identical for
-	// every value.
+	// column chunks (one batched solve per worker) and the coupled
+	// paths' row-parallel block apply; 0 or negative means GOMAXPROCS.
+	// Results are bit-identical for every value.
 	Workers int
 	// MemoryBudget caps the block factor's value storage in bytes; when
 	// the symbolic analysis predicts a larger factor, the solver
@@ -58,7 +58,7 @@ type Options struct {
 	// slow solve from a hung one. Nil disables the marks.
 	Progress *obs.Progress
 	// Ctx, when non-nil, is polled at every time step (all three solve
-	// paths) and before every per-basis solve on the decoupled path; a
+	// paths) and before every chunk solve on the decoupled path; a
 	// canceled or expired context stops the solve within one step with
 	// a structured error wrapping cancel.ErrCanceled, leaving factors
 	// and the numguard ladder reusable. Nil disables the check.
@@ -129,14 +129,20 @@ func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][
 
 // solveDecoupled exploits a deterministic operator (§5.1, Eq. 27): one
 // n×n factorization, N+1 independent recursions. Every solve runs
-// through the numguard escalation ladder (cholesky → lu → cg+ic0) with
-// residual verification.
+// through the numguard escalation ladder (supernodal → cholesky → lu →
+// cg+ic0) with residual verification.
 //
-// The N+1 recursions are independent within each time step, so they fan
-// out across a worker pool: basis m reads only blocks[m] and writes
-// only blocks[m], each worker owns private cx/rhs scratch, and the
-// shared ladder's Solve is concurrency-safe. Coefficients are therefore
-// bit-identical for every worker count, including 1.
+// A step solves only the live columns: a column turns live once its
+// excitation has a nonzero entry (its state is nonzero only after
+// that). A column whose state and right-hand side are both exactly
+// zero would solve to exactly +0, so it is left at +0 unsolved. The
+// live columns split into one contiguous chunk per worker; each chunk
+// forms its right-hand sides c0·x/h + U in place in rhsBlocks and
+// makes one batched ladder SolveMany — a single sweep over the factor.
+// Basis m reads and writes only blocks[m] and rhsBlocks[m], and a
+// batched solve's per-column arithmetic is independent of the batch,
+// so coefficients are bit-identical for every worker count, including
+// 1.
 func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
 	n, b := sys.N, sys.Basis.Size()
@@ -167,7 +173,7 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 	spF.SetAttrs(obs.String("rung", lad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
 	spF.End()
 	spT := tr.Start("transient", obs.Int("steps", opts.Steps))
-	spT.MarkAllocsApprox() // per-basis fan-out allocates on worker goroutines
+	spT.MarkAllocsApprox() // the chunk fan-out allocates on worker goroutines
 	defer spT.End()
 	workers := parallel.Workers(opts.Workers)
 	if workers > b {
@@ -177,6 +183,8 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 	reg.Gauge("parallel.workers").Set(float64(workers))
 	stepMS := reg.Histogram("galerkin.step_ms", obs.MSBuckets)
 	stepsTotal := reg.Counter("galerkin.steps_total")
+	// galerkin.solve_ms.w<k> observes each chunk solve worker k runs:
+	// forming the chunk's right-hand sides plus its one SolveMany.
 	workerMS := make([]*obs.Histogram, workers)
 	for w := range workerMS {
 		workerMS[w] = reg.WorkerHistogram("galerkin.solve_ms", w, obs.MSBuckets)
@@ -187,23 +195,75 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 		blocks[m] = make([]float64, n)
 		rhsBlocks[m] = make([]float64, n)
 	}
-	// Per-worker step scratch: basis m's rhs assembly must not share
-	// vectors across concurrent solves.
-	type stepScratch struct{ cx, rhs []float64 }
-	scratch := make([]stepScratch, workers)
-	for w := range scratch {
-		scratch[w] = stepScratch{cx: make([]float64, n), rhs: make([]float64, n)}
+	// Per-worker chunk scratch, reused every step: the C·x product and
+	// the chunk's solution and right-hand-side column headers.
+	type chunkScratch struct {
+		cx     []float64
+		xs, bs [][]float64
 	}
-	sys.RHS(0, rhsBlocks)
-	if err := parallel.ForEach(workers, b, func(_, m int) error {
-		if err := cancel.Poll(opts.Ctx, "galerkin.decoupled", m); err != nil {
+	scratch := make([]chunkScratch, workers)
+	for w := range scratch {
+		scratch[w] = chunkScratch{cx: make([]float64, n), xs: make([][]float64, 0, b), bs: make([][]float64, 0, b)}
+	}
+	live := make([]bool, b)
+	cols := make([]int, 0, b) // live columns, ascending
+	// markLive adds every column whose fresh excitation has a nonzero
+	// entry.
+	markLive := func() {
+		grew := false
+		for m := range live {
+			if !live[m] && !allZero(rhsBlocks[m]) {
+				live[m], grew = true, true
+			}
+		}
+		if grew {
+			cols = cols[:0]
+			for m, on := range live {
+				if on {
+					cols = append(cols, m)
+				}
+			}
+		}
+	}
+	step := 0 // the step solveChunk solves; 0 is the DC solve
+	solveChunk := func(worker, lo, hi int) error {
+		if err := cancel.Poll(opts.Ctx, "galerkin.decoupled", step); err != nil {
 			return err
 		}
-		if err := dcLad.Solve(0, blocks[m], rhsBlocks[m]); err != nil {
-			return fmt.Errorf("galerkin: decoupled DC solve (basis %d): %w", m, err)
+		sc := &scratch[worker]
+		var solveStart time.Time
+		if step > 0 && workerMS[worker] != nil {
+			solveStart = time.Now()
+		}
+		sc.xs, sc.bs = sc.xs[:0], sc.bs[:0]
+		for _, m := range cols[lo:hi] {
+			rhs := rhsBlocks[m]
+			if step > 0 {
+				c0.MulVec(sc.cx, blocks[m])
+				for i := range rhs {
+					rhs[i] += sc.cx[i] / opts.Step
+				}
+			}
+			sc.xs = append(sc.xs, blocks[m])
+			sc.bs = append(sc.bs, rhs)
+		}
+		if step == 0 {
+			if err := dcLad.SolveMany(0, sc.xs, sc.bs); err != nil {
+				return fmt.Errorf("galerkin: decoupled DC solve (basis %d..%d): %w", cols[lo], cols[hi-1], err)
+			}
+			return nil
+		}
+		if err := lad.SolveMany(step, sc.xs, sc.bs); err != nil {
+			return fmt.Errorf("galerkin: decoupled step %d (basis %d..%d): %w", step, cols[lo], cols[hi-1], err)
+		}
+		if workerMS[worker] != nil {
+			workerMS[worker].ObserveSince(solveStart)
 		}
 		return nil
-	}); err != nil {
+	}
+	sys.RHS(0, rhsBlocks)
+	markLive()
+	if err := parallel.Split(workers, len(cols), solveChunk); err != nil {
 		return Result{}, err
 	}
 	if visit != nil {
@@ -213,30 +273,12 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 		if err := cancel.Poll(opts.Ctx, "galerkin.decoupled", k); err != nil {
 			return Result{}, err
 		}
+		step = k
 		t := float64(k) * opts.Step
 		stepStart := time.Now()
 		sys.RHS(t, rhsBlocks)
-		if err := parallel.ForEach(workers, b, func(worker, m int) error {
-			if err := cancel.Poll(opts.Ctx, "galerkin.decoupled", k); err != nil {
-				return err
-			}
-			sc := &scratch[worker]
-			var solveStart time.Time
-			if workerMS[worker] != nil {
-				solveStart = time.Now()
-			}
-			c0.MulVec(sc.cx, blocks[m])
-			for i := 0; i < n; i++ {
-				sc.rhs[i] = rhsBlocks[m][i] + sc.cx[i]/opts.Step
-			}
-			if err := lad.Solve(k, blocks[m], sc.rhs); err != nil {
-				return fmt.Errorf("galerkin: decoupled step %d (basis %d): %w", k, m, err)
-			}
-			if workerMS[worker] != nil {
-				workerMS[worker].ObserveSince(solveStart)
-			}
-			return nil
-		}); err != nil {
+		markLive()
+		if err := parallel.Split(workers, len(cols), solveChunk); err != nil {
 			return Result{}, err
 		}
 		stepMS.ObserveSince(stepStart)
@@ -247,11 +289,22 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 		}
 		res.StepsRun = k
 	}
+	spT.SetAttrs(obs.Int("live_columns", len(cols)))
 	res.Factorer = lad.Rung()
 	// Escalations can have moved the solve to a costlier factor.
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
 	res.CondEst = lad.CondEstimate(n)
 	return res, nil
+}
+
+// allZero reports whether every entry of v is zero (either sign).
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sumTerms adds the node matrices of a term list (couplings are

@@ -367,12 +367,15 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 				acc[s][i].Merge(&sh.acc[s][i])
 			}
 		}
-		res.SamplesRun = sh.hi
+		// Read the shard's bound before returning it: once pooled, a
+		// worker may reuse it for its next chunk.
+		hi := sh.hi
+		res.SamplesRun = hi
 		shardPool.Put(sh)
 		if opts.OnCheckpoint != nil && opts.CheckpointEvery > 0 &&
-			sh.hi < opts.Samples && sh.hi-lastCkpt >= opts.CheckpointEvery {
-			lastCkpt = sh.hi
-			opts.OnCheckpoint(snapshot(res, acc, opts, n, sh.hi))
+			hi < opts.Samples && hi-lastCkpt >= opts.CheckpointEvery {
+			lastCkpt = hi
+			opts.OnCheckpoint(snapshot(res, acc, opts, n, hi))
 		}
 		return nil
 	}

@@ -21,13 +21,14 @@ type Rung struct {
 // escalating when a rung's factorization fails, its solution is
 // non-finite, or its residual cannot be refined below tolerance.
 //
-// A Ladder is safe for concurrent Solve calls on disjoint x/b pairs
-// (the decoupled-Galerkin workers share one ladder): rung state is
-// mutex-guarded, residual/refinement scratch is pooled per call, and an
-// escalation requested by a worker that lost the race to another
-// worker's escalation is coalesced rather than double-counted. The
-// rungs' Solvers must themselves tolerate concurrent SolveTo calls —
-// true of every factorization in internal/factor.
+// A Ladder is safe for concurrent Solve and SolveMany calls on
+// disjoint x/b pairs (the decoupled-Galerkin workers share one ladder,
+// one column chunk each): rung state is mutex-guarded,
+// residual/refinement scratch is pooled per call, and an escalation
+// requested by a worker that lost the race to another worker's
+// escalation is coalesced rather than double-counted. The rungs'
+// Solvers must themselves tolerate concurrent calls — true of every
+// factorization in internal/factor.
 type Ladder struct {
 	Stage string // labels transitions/diagnoses ("step", "dc", ...)
 
@@ -45,9 +46,11 @@ type Ladder struct {
 	scratch sync.Pool // *ladderScratch
 }
 
-// ladderScratch carries the per-call residual and correction vectors.
+// ladderScratch carries the per-call residual and correction vectors
+// and the residual history of the solve in progress.
 type ladderScratch struct {
 	r, dx []float64
+	hist  []float64
 }
 
 // NewLadder builds a ladder over op (the matrix being solved, for
@@ -161,6 +164,14 @@ func (l *Ladder) getScratch(n int) *ladderScratch {
 	return &ladderScratch{r: make([]float64, n), dx: make([]float64, n)}
 }
 
+// ManySolver is a Solver that also solves several right-hand sides in
+// one call; *factor.SuperFactor's one-sweep SolveMany is the one that
+// matters. Its results must equal column-by-column SolveTo.
+type ManySolver interface {
+	Solver
+	SolveMany(x, b [][]float64)
+}
+
 // Solve computes x ← A⁻¹·b with verification: non-finite sentinel on
 // every call, residual check on the configured cadence, capped
 // iterative refinement before any escalation, and rung escalation (the
@@ -170,68 +181,132 @@ func (l *Ladder) getScratch(n int) *ladderScratch {
 func (l *Ladder) Solve(step int, x, b []float64) error {
 	sc := l.getScratch(len(b))
 	defer l.scratch.Put(sc)
-	var history []float64
+	sc.hist = sc.hist[:0]
+	return l.solve(step, x, b, sc)
+}
+
+// SolveMany solves x[c] ← A⁻¹·b[c] for every column with the same
+// guarantees as Solve. When the current rung's solver is a ManySolver
+// all columns solve in one call, otherwise column by column; each
+// column is then checked, refined and escalated exactly as Solve
+// would. A column that escalates finishes on the next rung and the
+// columns after it re-solve there, so the outcome — transitions,
+// refinements, verified counts and x — is that of Solve called on the
+// columns in order.
+func (l *Ladder) SolveMany(step int, x, b [][]float64) error {
+	if len(b) == 0 {
+		return nil
+	}
+	sc := l.getScratch(len(b[0]))
+	defer l.scratch.Put(sc)
+	for c := 0; c < len(b); {
+		s, idx, err := l.acquire(step)
+		if err != nil {
+			return err
+		}
+		if m, ok := s.(ManySolver); ok {
+			m.SolveMany(x[c:], b[c:])
+		} else {
+			for i := c; i < len(b); i++ {
+				s.SolveTo(x[i], b[i])
+			}
+		}
+		for c < len(b) {
+			sc.hist = sc.hist[:0]
+			done, err := l.settle(step, idx, s, x[c], b[c], sc)
+			if !done {
+				err = l.solve(step, x[c], b[c], sc)
+			}
+			if err != nil {
+				return err
+			}
+			c++
+			if !done {
+				break // the rung changed: re-solve the rest on the new one
+			}
+		}
+	}
+	return nil
+}
+
+// solve is Solve's retry loop: solve on the current rung and settle,
+// until a rung's answer is accepted or the ladder is exhausted. sc.hist
+// carries the residual history so far.
+func (l *Ladder) solve(step int, x, b []float64, sc *ladderScratch) error {
 	for {
 		s, idx, err := l.acquire(step)
 		if err != nil {
 			if d, ok := err.(*Diagnosis); ok {
-				d.Residuals = history
+				d.Residuals = append([]float64(nil), sc.hist...)
 			}
 			return err
 		}
-		rung := l.rungName(idx)
 		s.SolveTo(x, b)
-		inject.CorruptSolve(rung, step, x)
-		if !Finite(x) {
-			l.report.NonFinite()
-			history = append(history, math.Inf(1))
-			if l.escalateFrom(step, idx, "non-finite solution") {
-				continue
-			}
-			return l.diagnose(step, rung, history, "non-finite solution on the last rung", len(b))
+		if done, err := l.settle(step, idx, s, x, b, sc); done {
+			return err
 		}
-		if !l.cfg.ShouldVerify(step) {
-			return nil
-		}
-		res := ScaledResidual(l.op, l.anorm, sc.r, x, b)
-		history = append(history, res)
-		if res <= l.cfg.ResidualTol {
-			l.accept(res)
-			return nil
-		}
-		// Iterative refinement: solve on the residual, add the
-		// correction. The residual vector is already in sc.r.
-		refined := false
-		for sweep := 0; sweep < l.cfg.MaxRefine && res > l.cfg.ResidualTol && !math.IsInf(res, 1); sweep++ {
-			s.SolveTo(sc.dx, sc.r)
-			inject.CorruptSolve(rung, step, sc.dx)
-			if !Finite(sc.dx) {
-				l.report.NonFinite()
-				res = math.Inf(1)
-				history = append(history, res)
-				break
-			}
-			for i := range x {
-				x[i] += sc.dx[i]
-			}
-			l.report.AddRefinement()
-			refined = true
-			res = ScaledResidual(l.op, l.anorm, sc.r, x, b)
-			history = append(history, res)
-		}
-		if refined {
-			l.report.MarkRefinedSolve()
-		}
-		if res <= l.cfg.ResidualTol {
-			l.accept(res)
-			return nil
-		}
-		if l.escalateFrom(step, idx, fmt.Sprintf("residual %.3g above tolerance %.3g after %d refinement sweeps",
-			res, l.cfg.ResidualTol, l.cfg.MaxRefine)) {
-			continue
-		}
-		return l.diagnose(step, rung, history, "residual above tolerance on every rung", len(b))
 	}
+}
+
+// settle runs every check after solver s of rung idx wrote x ← A⁻¹·b:
+// fault injection, the non-finite sentinel, residual verification on
+// the cadence, capped iterative refinement, and escalation. It reports
+// done = false when it escalated past idx and x must be re-solved on
+// the next rung; otherwise x is accepted (err nil) or the ladder is
+// exhausted (err a *Diagnosis). The residual history accumulates in
+// sc.hist.
+func (l *Ladder) settle(step, idx int, s Solver, x, b []float64, sc *ladderScratch) (done bool, err error) {
+	rung := l.rungName(idx)
+	inject.CorruptSolve(rung, step, x)
+	if !Finite(x) {
+		l.report.NonFinite()
+		sc.hist = append(sc.hist, math.Inf(1))
+		if l.escalateFrom(step, idx, "non-finite solution") {
+			return false, nil
+		}
+		return true, l.diagnose(step, rung, sc.hist, "non-finite solution on the last rung", len(b))
+	}
+	if !l.cfg.ShouldVerify(step) {
+		return true, nil
+	}
+	res := ScaledResidual(l.op, l.anorm, sc.r, x, b)
+	sc.hist = append(sc.hist, res)
+	if res <= l.cfg.ResidualTol {
+		l.accept(res)
+		return true, nil
+	}
+	// Iterative refinement: solve on the residual, add the correction.
+	// The residual vector is already in sc.r.
+	refined := false
+	for sweep := 0; sweep < l.cfg.MaxRefine && res > l.cfg.ResidualTol && !math.IsInf(res, 1); sweep++ {
+		s.SolveTo(sc.dx, sc.r)
+		inject.CorruptSolve(rung, step, sc.dx)
+		if !Finite(sc.dx) {
+			l.report.NonFinite()
+			res = math.Inf(1)
+			sc.hist = append(sc.hist, res)
+			break
+		}
+		for i := range x {
+			x[i] += sc.dx[i]
+		}
+		l.report.AddRefinement()
+		refined = true
+		res = ScaledResidual(l.op, l.anorm, sc.r, x, b)
+		sc.hist = append(sc.hist, res)
+	}
+	if refined {
+		l.report.MarkRefinedSolve()
+	}
+	if res <= l.cfg.ResidualTol {
+		l.accept(res)
+		return true, nil
+	}
+	if l.escalateFrom(step, idx, fmt.Sprintf("residual %.3g above tolerance %.3g after %d refinement sweeps",
+		res, l.cfg.ResidualTol, l.cfg.MaxRefine)) {
+		return false, nil
+	}
+	return true, l.diagnose(step, rung, sc.hist, "residual above tolerance on every rung", len(b))
 }
 
 func (l *Ladder) accept(res float64) {
@@ -257,7 +332,7 @@ func (l *Ladder) CondEstimate(n int) float64 {
 }
 
 func (l *Ladder) diagnose(step int, rung string, history []float64, reason string, n int) error {
-	d := &Diagnosis{Stage: l.Stage, Step: step, Rung: rung, Residuals: history, Reason: reason}
+	d := &Diagnosis{Stage: l.Stage, Step: step, Rung: rung, Residuals: append([]float64(nil), history...), Reason: reason}
 	l.mu.Lock()
 	s := l.last
 	l.mu.Unlock()

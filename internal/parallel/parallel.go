@@ -1,12 +1,14 @@
 // Package parallel is the repo's stdlib-only worker-pool layer. It
 // exists to make the embarrassingly-parallel hot loops (Monte Carlo
-// sampling, the §5.1 decoupled per-basis solves, the coupled block
+// sampling, the §5.1 decoupled column chunks, the coupled block
 // apply) run on every core while keeping results bit-identical to the
 // serial path:
 //
 //   - Work is partitioned by *index*, never by worker: chunk and shard
 //     boundaries depend only on the problem size, so the same item is
 //     always computed from the same inputs regardless of worker count.
+//     Split's per-worker ranges are the one exception, for batched
+//     solves whose per-column arithmetic does not depend on the batch.
 //   - OrderedChunks merges chunk results in ascending chunk order, so
 //     floating-point reductions associate identically for 1 and N
 //     workers.
@@ -108,6 +110,22 @@ func ForEach(workers, n int, fn func(worker, i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// Split runs fn(worker, lo, hi) over min(Workers(workers), n)
+// contiguous ranges that partition [0, n), their sizes differing by at
+// most one, through ForEach. Unlike ForEach's per-index units the
+// ranges depend on the worker count, so Split is only for items whose
+// results do not depend on which range holds them — batched solves,
+// whose per-column arithmetic is independent of the batch.
+func Split(workers, n int, fn func(worker, lo, hi int) error) error {
+	w := Workers(workers)
+	if w > n {
+		w = n
+	}
+	return ForEach(w, w, func(worker, c int) error {
+		return fn(worker, c*n/w, (c+1)*n/w)
+	})
 }
 
 // OrderedChunks runs `run(worker, chunk)` for every chunk in

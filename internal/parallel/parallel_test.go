@@ -57,6 +57,38 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 	}
 }
 
+// TestSplitPartitions checks Split hands out min(workers, n)
+// contiguous, balanced ranges that cover [0, n) exactly once.
+func TestSplitPartitions(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{{1, 5}, {2, 13}, {3, 13}, {7, 13}, {4, 2}, {4, 0}} {
+		t.Run(fmt.Sprintf("workers=%d/n=%d", tc.workers, tc.n), func(t *testing.T) {
+			hits := make([]atomic.Int32, tc.n)
+			var ranges atomic.Int32
+			err := Split(tc.workers, tc.n, func(_, lo, hi int) error {
+				ranges.Add(1)
+				if size := hi - lo; size < tc.n/tc.workers || size > tc.n/tc.workers+1 || size == 0 {
+					return fmt.Errorf("range [%d,%d) unbalanced for %d items on %d workers", lo, hi, tc.n, tc.workers)
+				}
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(tc.workers, tc.n); int(ranges.Load()) != want {
+				t.Errorf("%d ranges, want %d", ranges.Load(), want)
+			}
+			for i := range hits {
+				if c := hits[i].Load(); c != 1 {
+					t.Fatalf("index %d covered %d times", i, c)
+				}
+			}
+		})
+	}
+}
+
 func TestForEachFirstErrorStops(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64

@@ -179,6 +179,11 @@ func TestQueueOverflow429(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL)
+	// No retries: the client must surface the full queue's 429 itself.
+	// Retrying would wait out the running job on a fast host and then
+	// be admitted; bounded retries have their own test
+	// (TestClientRetry429).
+	c.MaxRetries = 0
 	ctx := context.Background()
 
 	// One job running, one in the queue; distinct seeds so nothing
