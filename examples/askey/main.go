@@ -71,8 +71,8 @@ func main() {
 	var acc randvar.Running
 	pattern := uniSys.UnionPattern()
 	comp := sparse.Add(1, pattern, 1/opts.Step, pattern)
-	sym := factor.CholAnalyze(comp, order.Permute(opts.Ordering, comp))
-	var reuse factor.ScalarFactor
+	sym := factor.CholAnalyzeSupernodal(comp, order.Permute(opts.Ordering, comp), -1)
+	var reuse *factor.SuperFactor
 	for k := 0; k < samples; k++ {
 		xiG := 2*rng.Float64() - 1
 		xiL := 2*rng.Float64() - 1

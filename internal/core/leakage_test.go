@@ -25,11 +25,11 @@ func leakageMCOracle(t *testing.T, nl *netlist.Netlist, opts LeakageOptions, sam
 	n := sys.N
 	companion := sparse.Add(1, sys.Ga, 1/opts.Step, sys.Ca)
 	perm := order.Permute(opts.Ordering, companion)
-	comp, err := factor.CholeskyKernel(companion, perm, factor.KernelSupernodal)
+	comp, err := factor.CholAnalyzeSupernodal(companion, perm, -1).Factorize(companion, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gfac, err := factor.CholeskyKernel(sys.Ga, perm, factor.KernelSupernodal)
+	gfac, err := factor.CholAnalyzeSupernodal(sys.Ga, perm, -1).Factorize(sys.Ga, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

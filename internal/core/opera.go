@@ -41,10 +41,6 @@ type Options struct {
 	// factorization the analysis runs (Galerkin, Monte Carlo, nominal);
 	// the zero value is AMD.
 	Ordering order.Method
-	// Kernel selects the scalar Cholesky kernel (supernodal blocked
-	// panels by default; KernelScalar forces the up-looking reference —
-	// the ablation switch).
-	Kernel factor.Kernel
 	// TrackNodes lists nodes whose full chaos coefficients are retained
 	// at every step (needed for PDFs and the distribution figures).
 	TrackNodes []int
@@ -186,7 +182,7 @@ func analyze(gsys *galerkin.System, vdd float64, opts Options) (*Result, error) 
 	var momentsDur time.Duration
 	gres, err := galerkin.Solve(gsys, galerkin.Options{
 		Step: opts.Step, Steps: opts.Steps,
-		Ordering: opts.Ordering, Kernel: opts.Kernel, ForceCoupled: opts.ForceCoupled,
+		Ordering: opts.Ordering, ForceCoupled: opts.ForceCoupled,
 		ForceLU: opts.ForceLU, Iterative: opts.Iterative,
 		Workers: opts.Workers, Guard: opts.Guard, Obs: opts.Obs,
 		Progress: opts.Progress, Ctx: opts.Ctx,
@@ -243,11 +239,11 @@ type NominalResult struct {
 	V [][]float64
 	// Symbolic is the stepper's companion analysis: the permutation,
 	// fill and flop count the nominal transient actually factored.
-	Symbolic factor.Analysis
+	Symbolic *factor.SuperSymbolic
 }
 
 // Nominal runs the plain backward-Euler transient on Ga, Ca, ua,
-// factoring the companion under opts.Ordering and opts.Kernel.
+// factoring the companion under opts.Ordering.
 func Nominal(sys *mna.System, opts Options) (*NominalResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
@@ -257,7 +253,7 @@ func Nominal(sys *mna.System, opts Options) (*NominalResult, error) {
 	perm := order.Permute(opts.Ordering, sparse.Add(1, sys.Ga, 1, sys.Ca))
 	st, err := transient.NewStepper(sys.Ga, sys.Ca, transient.Options{
 		Step: opts.Step, Steps: opts.Steps, Method: transient.BackwardEuler,
-		Perm: perm, Kernel: opts.Kernel, Progress: opts.Progress, Ctx: opts.Ctx,
+		Perm: perm, Progress: opts.Progress, Ctx: opts.Ctx,
 	})
 	if err != nil {
 		return nil, err

@@ -186,7 +186,7 @@ func TestCholeskyOrderingReducesFactorNNZ(t *testing.T) {
 	}
 }
 
-func TestCholeskyRefactorizeReuse(t *testing.T) {
+func TestCholeskyFactorizeReuse(t *testing.T) {
 	a := laplacian2D(8, 8, 0.1)
 	sym := CholAnalyze(a, nil)
 	f1, err := sym.Factorize(a, nil)

@@ -22,11 +22,6 @@ const DefaultRelax = 8
 type SuperSymbolic struct {
 	N    int
 	Perm []int // fill-reducing permutation; nil = natural
-	// Workers caps the factorization's supernode-task pool (0 or 1 =
-	// serial). The factor values are bit-identical for every setting —
-	// each supernode's arithmetic runs in a fixed order regardless of
-	// which worker executes it — so this is purely a throughput knob.
-	Workers int
 
 	relax int
 	upper *sparse.Matrix // permuted upper triangle (pattern)
@@ -79,7 +74,7 @@ func CholAnalyzeSupernodal(a *sparse.Matrix, perm []int, relax int) *SuperSymbol
 	// detection to near-scalar widths. Relabeling columns by a
 	// postorder leaves the factor's fill and flops invariant but makes
 	// every subtree — and hence every chain — contiguous. The composed
-	// permutation becomes the analysis's effective Permutation().
+	// permutation becomes the analysis's effective Perm.
 	if post := postorder(parent); post != nil {
 		np := make([]int, n)
 		if perm == nil {
@@ -259,15 +254,6 @@ func CholAnalyzeSupernodal(a *sparse.Matrix, perm []int, relax int) *SuperSymbol
 // Supernodes reports the number of supernodes in the partition.
 func (s *SuperSymbolic) Supernodes() int { return len(s.sstart) - 1 }
 
-// Size reports the analyzed dimension.
-func (s *SuperSymbolic) Size() int { return s.N }
-
-// Permutation returns the fill-reducing permutation (nil = natural).
-func (s *SuperSymbolic) Permutation() []int { return s.Perm }
-
-// KernelName names the supernodal kernel's telemetry rung.
-func (s *SuperSymbolic) KernelName() string { return "supernodal" }
-
 // LNNZ reports the number of nonzeros in the factor L under the exact
 // scalar pattern — the same cost model as CholSymbolic.LNNZ, so the
 // metric is comparable across kernels at equal permutation.
@@ -295,18 +281,4 @@ func (s *SuperSymbolic) FillRatio() float64 {
 		return 0
 	}
 	return float64(s.lnnz) / float64(annz)
-}
-
-// Refactorize adapts Factorize to the kernel-generic Analysis
-// interface, running with the analysis' Workers setting.
-func (s *SuperSymbolic) Refactorize(a *sparse.Matrix, reuse ScalarFactor) (ScalarFactor, error) {
-	var r *SuperFactor
-	if sf, ok := reuse.(*SuperFactor); ok {
-		r = sf
-	}
-	f, err := s.Factorize(a, r, s.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
 }

@@ -42,7 +42,7 @@ func TestSupernodalMatchesScalar(t *testing.T) {
 				sym, f := superFactorize(t, a, perm, relax, 1)
 				// The analysis postorders the etree, so the scalar
 				// reference must factor at the composed permutation.
-				ref, err := Cholesky(a, sym.Permutation())
+				ref, err := Cholesky(a, sym.Perm)
 				if err != nil {
 					t.Fatalf("mat %d perm %d: scalar: %v", mi, pi, err)
 				}
@@ -155,7 +155,7 @@ func TestSupernodalNotPositiveDefiniteParity(t *testing.T) {
 			}
 		}
 	}
-	_, scalarErr := Cholesky(bad, CholAnalyzeSupernodal(bad, nil, -1).Permutation())
+	_, scalarErr := Cholesky(bad, CholAnalyzeSupernodal(bad, nil, -1).Perm)
 	if !errors.Is(scalarErr, ErrNotPositiveDefinite) {
 		t.Fatalf("scalar kernel accepted an indefinite matrix: %v", scalarErr)
 	}
@@ -171,23 +171,19 @@ func TestSupernodalNotPositiveDefiniteParity(t *testing.T) {
 	}
 }
 
-// TestSupernodalRefactorizeReuse: a second numeric factorization
-// through the Analysis interface must recycle the panel storage and
-// track the new values.
-func TestSupernodalRefactorizeReuse(t *testing.T) {
+// TestSupernodalFactorizeReuse: a second numeric factorization that
+// passes the first as reuse must recycle the panel storage and track
+// the new values.
+func TestSupernodalFactorizeReuse(t *testing.T) {
 	a := laplacian2D(10, 10, 0.2)
-	var sym Analysis = CholAnalyzeSupernodal(a, order.AMD(order.NewGraph(a)), -1)
-	f1, err := sym.Refactorize(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sym, f1 := superFactorize(t, a, order.AMD(order.NewGraph(a)), -1, 1)
 	a2 := a.Clone().Scale(2.5)
-	f2, err := sym.Refactorize(a2, f1)
+	f2, err := sym.Factorize(a2, f1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1.(*SuperFactor) != f2.(*SuperFactor) {
-		t.Error("Refactorize did not recycle the factor storage")
+	if f1 != f2 {
+		t.Error("Factorize did not recycle the factor storage")
 	}
 	n := a.Rows
 	b := make([]float64, n)
@@ -220,31 +216,6 @@ func TestSupernodalSolveScratchAllocFree(t *testing.T) {
 	}
 }
 
-// TestAnalyzeKernelDispatch checks the Kernel-enum front door used by
-// the option plumbing.
-func TestAnalyzeKernelDispatch(t *testing.T) {
-	a := laplacian2D(6, 6, 0.2)
-	if name := Analyze(a, nil, KernelSupernodal).KernelName(); name != "supernodal" {
-		t.Errorf("KernelSupernodal analysis is %q", name)
-	}
-	if name := Analyze(a, nil, KernelScalar).KernelName(); name != "cholesky" {
-		t.Errorf("KernelScalar analysis is %q", name)
-	}
-	for _, k := range []Kernel{KernelSupernodal, KernelScalar} {
-		f, err := CholeskyKernel(a, nil, k)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		b := make([]float64, a.Rows)
-		b[0] = 1
-		x := make([]float64, a.Rows)
-		f.SolveTo(x, b)
-		if r := residualInf(a, x, b); r > 1e-10 {
-			t.Errorf("%v: residual %g", k, r)
-		}
-	}
-}
-
 // TestSupernodalFuzzEquivalence cross-checks random patterns, random
 // amalgamation and random worker counts against the scalar kernel.
 func TestSupernodalFuzzEquivalence(t *testing.T) {
@@ -255,7 +226,7 @@ func TestSupernodalFuzzEquivalence(t *testing.T) {
 		relax := rng.Intn(12)
 		workers := 1 + rng.Intn(4)
 		sym := CholAnalyzeSupernodal(a, nil, relax)
-		ref, err := Cholesky(a, sym.Permutation())
+		ref, err := Cholesky(a, sym.Perm)
 		if err != nil {
 			return false
 		}

@@ -26,10 +26,9 @@ import (
 // whole transient costs a single factorization. If the block Cholesky
 // reports an indefinite matrix (possible under extreme variation
 // magnitudes where the Gaussian linear model loses positivity), the
-// numguard escalation ladder takes over: scalar Cholesky on the
-// expanded CSC system, then pivot-growth-checked LU, then IC(0)-
-// preconditioned CG, with every transition recorded and every accepted
-// solve residual-verified.
+// numguard escalation ladder takes over: pivot-growth-checked LU on
+// the expanded CSC system, then IC(0)-preconditioned CG, with every
+// transition recorded and every accepted solve residual-verified.
 func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
 	n, b := sys.N, sys.Basis.Size()
@@ -81,7 +80,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	res.guard = rep
 	st := &factorStats{}
 	lad := numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-		blockRungs(comp, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
+		blockRungs(comp, perm, opts.Guard, opts.ForceLU, st), rep)
 	sol, err := lad.Solver(0)
 	if err != nil {
 		return Result{}, fmt.Errorf("galerkin: companion factorization: %w", err)
@@ -150,7 +149,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 			Reason: fmt.Sprintf("CG failed: %v", cgErr),
 		})
 		dcLad := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
-			blockRungs(gBM, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
+			blockRungs(gBM, perm, opts.Guard, opts.ForceLU, nil), rep)
 		if err := dcLad.Solve(0, x, rhs); err != nil {
 			return Result{}, fmt.Errorf("galerkin: DC solve: %w", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"opera/internal/factor"
 	"opera/internal/mna"
 	"opera/internal/netlist"
 	"opera/internal/numguard"
@@ -353,11 +352,11 @@ func TestOrderingOptions(t *testing.T) {
 }
 
 func TestForceLU(t *testing.T) {
-	// The scalar ladder's LU rung takes over when both Cholesky rungs
-	// reject a matrix that is not positive definite.
+	// The scalar ladder's LU rung takes over when its Cholesky rung
+	// rejects a matrix that is not positive definite.
 	a := sparse.FromDense([][]float64{{0, 1}, {1, 0}}) // not PD, invertible
 	lad := numguard.NewLadder("step", numguard.Config{}, a, a.NormInf(),
-		scalarRungs(a, nil, factor.KernelSupernodal, 1, numguard.Config{}, false, nil),
+		scalarRungs(a, nil, 1, numguard.Config{}, false, nil),
 		&numguard.Report{})
 	x := make([]float64, 2)
 	if err := lad.Solve(0, x, []float64{3, 4}); err != nil {

@@ -11,14 +11,15 @@ import (
 )
 
 // This file wires the numguard escalation ladder into the Galerkin
-// solve paths. Rung order (most economical first, per the numguard
-// design): block Cholesky on the block-sparse companion → supernodal
-// blocked Cholesky on the expanded CSC → scalar up-looking Cholesky →
-// sparse LU with a pivot-growth acceptance check →
-// IC(0)-preconditioned CG as the last resort. The supernodal rung is
-// gated on Options.Kernel (KernelScalar drops it — the ablation
-// switch). Every factorization is attempted lazily: a healthy run
-// never expands the block matrix to CSC at all.
+// solve paths. Each ladder holds exactly one Cholesky rung, the kernel
+// its matrix shape implies: block companions run block-cholesky → lu →
+// cg+ic0, scalar systems run supernodal → lu → cg+ic0. A second
+// Cholesky of the same matrix under the same permutation would fail
+// the same way, so the next rung is LU with a pivot-growth acceptance
+// check, which does not depend on positive definiteness, and
+// IC(0)-preconditioned CG is the last resort. Every factorization is
+// attempted lazily: a healthy block run never expands the block matrix
+// to CSC at all.
 
 // expandPerm lifts a node permutation to node-major scalar indexing
 // (global unknown i·B+m).
@@ -55,55 +56,37 @@ func (st *factorStats) set(nnz int, flops int64, fill float64) {
 }
 
 // scalarRungs builds the ladder rungs for a scalar (n×n) system
-// matrix: supernodal → cholesky → lu (pivot-growth checked) → cg+ic0.
-// kernel == KernelScalar drops the supernodal rung and forceLU drops
-// both Cholesky rungs (ablation switches). workers caps the
+// matrix: supernodal → lu (pivot-growth checked) → cg+ic0. forceLU
+// drops the Cholesky rung (the ablation switch). workers caps the
 // supernodal factorization's task pool — the factor is bit-identical
 // for every value. st, when non-nil, receives the factor's cost facts
 // on each successful direct factorization.
-func scalarRungs(a *sparse.Matrix, perm []int, kernel factor.Kernel, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+func scalarRungs(a *sparse.Matrix, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
 	cfg = cfg.WithDefaults()
 	var rungs []numguard.Rung
 	if !forceLU {
-		rungs = append(rungs, supernodalRung(a, perm, kernel, workers, st)...)
-		rungs = append(rungs, numguard.Rung{Name: "cholesky", Prepare: func() (numguard.Solver, error) {
-			f, err := factor.Cholesky(a, perm)
+		rungs = append(rungs, numguard.Rung{Name: "supernodal", Prepare: func() (numguard.Solver, error) {
+			sym := factor.CholAnalyzeSupernodal(a, perm, -1)
+			f, err := sym.Factorize(a, nil, parallel.Workers(workers))
 			if err != nil {
 				return nil, err
 			}
-			st.set(f.Sym.LNNZ(), f.Sym.FlopEstimate(), f.Sym.FillRatio())
+			st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
 			return f, nil
 		}})
 	}
-	rungs = append(rungs,
+	return append(rungs,
 		luRung(func() (*sparse.Matrix, []int) { return a, perm }, cfg.PivotGrowthMax, st),
 		cgRung(a, func() *sparse.Matrix { return a }),
 	)
-	return rungs
 }
 
-// supernodalRung builds the blocked-kernel rung, or nothing when the
-// scalar kernel was forced.
-func supernodalRung(a *sparse.Matrix, perm []int, kernel factor.Kernel, workers int, st *factorStats) []numguard.Rung {
-	if kernel == factor.KernelScalar {
-		return nil
-	}
-	return []numguard.Rung{{Name: "supernodal", Prepare: func() (numguard.Solver, error) {
-		sym := factor.CholAnalyzeSupernodal(a, perm, -1)
-		sym.Workers = parallel.Workers(workers)
-		f, err := sym.Refactorize(a, nil)
-		if err != nil {
-			return nil, err
-		}
-		st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
-		return f, nil
-	}}}
-}
-
-// blockRungs builds the ladder rungs for a block companion matrix. The
-// CSC expansion and the expanded permutation are computed at most once,
-// shared by the scalar rungs.
-func blockRungs(m *factor.BlockMatrix, perm []int, kernel factor.Kernel, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+// blockRungs builds the ladder rungs for a block companion matrix:
+// block-cholesky → lu → cg+ic0, with forceLU dropping the Cholesky
+// rung. The CSC expansion and the expanded permutation that LU and
+// CG need are computed at most once, and only when a rung past
+// block-cholesky is prepared.
+func blockRungs(m *factor.BlockMatrix, perm []int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
 	cfg = cfg.WithDefaults()
 	var csc *sparse.Matrix
 	var scalPerm []int
@@ -116,45 +99,19 @@ func blockRungs(m *factor.BlockMatrix, perm []int, kernel factor.Kernel, workers
 	}
 	var rungs []numguard.Rung
 	if !forceLU {
-		rungs = append(rungs,
-			numguard.Rung{Name: "block-cholesky", Prepare: func() (numguard.Solver, error) {
-				f, err := factor.BlockCholesky(m, perm)
-				if err != nil {
-					return nil, err
-				}
-				st.set(f.NNZ(), f.FlopEstimate(), f.FillRatio())
-				return numguard.SolverFunc(func(x, b []float64) { f.Solve(x, b) }), nil
-			}})
-		if kernel != factor.KernelScalar {
-			rungs = append(rungs, numguard.Rung{Name: "supernodal", Prepare: func() (numguard.Solver, error) {
-				a, p := expand()
-				sym := factor.CholAnalyzeSupernodal(a, p, -1)
-				sym.Workers = parallel.Workers(workers)
-				f, err := sym.Refactorize(a, nil)
-				if err != nil {
-					return nil, err
-				}
-				st.set(sym.LNNZ(), sym.FlopEstimate(), sym.FillRatio())
-				return f, nil
-			}})
-		}
-		rungs = append(rungs,
-			numguard.Rung{Name: "cholesky", Prepare: func() (numguard.Solver, error) {
-				a, p := expand()
-				f, err := factor.Cholesky(a, p)
-				if err != nil {
-					return nil, err
-				}
-				st.set(f.Sym.LNNZ(), f.Sym.FlopEstimate(), f.Sym.FillRatio())
-				return f, nil
-			}},
-		)
+		rungs = append(rungs, numguard.Rung{Name: "block-cholesky", Prepare: func() (numguard.Solver, error) {
+			f, err := factor.BlockCholesky(m, perm)
+			if err != nil {
+				return nil, err
+			}
+			st.set(f.NNZ(), f.FlopEstimate(), f.FillRatio())
+			return numguard.SolverFunc(func(x, b []float64) { f.Solve(x, b) }), nil
+		}})
 	}
-	rungs = append(rungs,
+	return append(rungs,
 		luRung(expand, cfg.PivotGrowthMax, st),
 		cgRung(m, func() *sparse.Matrix { a, _ := expand(); return a }),
 	)
-	return rungs
 }
 
 // luRung factors with partial-pivoting LU and rejects factors whose

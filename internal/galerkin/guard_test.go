@@ -3,13 +3,16 @@ package galerkin
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"opera/internal/factor"
 	"opera/internal/mna"
 	"opera/internal/numguard"
 	"opera/internal/numguard/inject"
 	"opera/internal/pce"
+	"opera/internal/sparse"
 )
 
 // The tests in this file drive the numguard escalation ladder through
@@ -18,6 +21,35 @@ import (
 // retry, and full-ladder exhaustion. Each asserts the hard invariant
 // that no injected fault ever yields NaN/Inf chaos coefficients
 // without an accompanying error.
+
+// TestLadderShapes pins one Cholesky rung per ladder, the kernel the
+// matrix shape implies, followed by LU and CG; forceLU drops it.
+func TestLadderShapes(t *testing.T) {
+	a := sparse.FromDense([][]float64{{2, -1}, {-1, 2}})
+	bm := factor.NewBlockMatrix(a, 2)
+	names := func(rungs []numguard.Rung) []string {
+		var out []string
+		for _, r := range rungs {
+			out = append(out, r.Name)
+		}
+		return out
+	}
+	cfg := numguard.Config{}
+	for _, tc := range []struct {
+		name  string
+		rungs []numguard.Rung
+		want  []string
+	}{
+		{"scalar", scalarRungs(a, nil, 1, cfg, false, nil), []string{"supernodal", "lu", "cg+ic0"}},
+		{"scalar/forceLU", scalarRungs(a, nil, 1, cfg, true, nil), []string{"lu", "cg+ic0"}},
+		{"block", blockRungs(bm, nil, cfg, false, nil), []string{"block-cholesky", "lu", "cg+ic0"}},
+		{"block/forceLU", blockRungs(bm, nil, cfg, true, nil), []string{"lu", "cg+ic0"}},
+	} {
+		if got := names(tc.rungs); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s ladder %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
 
 // guardedRun runs the Galerkin solve while asserting that every block
 // of coefficients delivered to the visitor is finite.
@@ -108,7 +140,7 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 	refMean, _, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
-		FailPrepare: map[string]int{"block-cholesky": -1, "supernodal": -1, "cholesky": -1},
+		FailPrepare: map[string]int{"block-cholesky": -1},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 2, opts)
@@ -117,11 +149,11 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 		t.Errorf("factorer %q, want lu", res.Factorer)
 	}
 	rep := res.Guard()
-	if rep == nil || len(rep.Transitions) < 3 {
-		t.Fatalf("expected block-cholesky→supernodal→cholesky→lu transitions, got %+v", rep)
+	if rep == nil || len(rep.Transitions) < 1 {
+		t.Fatalf("expected a block-cholesky→lu transition, got %+v", rep)
 	}
-	if rep.Transitions[0].From != "block-cholesky" || rep.Transitions[1].From != "supernodal" || rep.Transitions[2].From != "cholesky" {
-		t.Errorf("transition order wrong: %+v", rep.Transitions)
+	if tr := rep.Transitions[0]; tr.From != "block-cholesky" || tr.To != "lu" {
+		t.Errorf("transition %+v, want block-cholesky→lu", tr)
 	}
 	if d := maxAbsDiff(mean, refMean); d > 1e-8 {
 		t.Errorf("LU-rung means off by %g", d)
@@ -151,15 +183,15 @@ func TestInjectNaNMidTransientRetriesStep(t *testing.T) {
 	}
 	found := false
 	for _, tr := range rep.Transitions {
-		if tr.Step == 5 && tr.From == "block-cholesky" && tr.To == "supernodal" {
+		if tr.Step == 5 && tr.From == "block-cholesky" && tr.To == "lu" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no block-cholesky→supernodal transition at step 5: %+v", rep.Transitions)
+		t.Errorf("no block-cholesky→lu transition at step 5: %+v", rep.Transitions)
 	}
-	// The retried step (and all later ones, now on the supernodal
-	// rung) must still carry the correct verified solution.
+	// The retried step (and all later ones, now on the LU rung) must
+	// still carry the correct verified solution.
 	if d := maxAbsDiff(mean, refMean); d > 1e-8 {
 		t.Errorf("post-retry means off by %g", d)
 	}
@@ -210,7 +242,7 @@ func TestInjectNaNNeverEscapesWithoutError(t *testing.T) {
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN:    map[int]string{3: ""},
-		FailPrepare: map[string]int{"supernodal": -1, "cholesky": -1, "lu": -1, "cg+ic0": -1},
+		FailPrepare: map[string]int{"lu": -1, "cg+ic0": -1},
 	})
 	t.Cleanup(restore)
 	_, err = Solve(gsys, Options{Step: tStep, Steps: 10}, func(step int, _ float64, coeffs [][]float64) {
@@ -234,8 +266,8 @@ func TestInjectNaNNeverEscapesWithoutError(t *testing.T) {
 }
 
 func TestInjectDecoupledPathEscalates(t *testing.T) {
-	// The §5.1 decoupled path runs scalar ladders; breaking Cholesky
-	// everywhere must land both the companion and DC ladders on LU.
+	// The §5.1 decoupled path runs scalar ladders; breaking their
+	// supernodal rung must land both the companion and DC ladders on LU.
 	nl := smallGrid()
 	for i := range nl.Resistors {
 		nl.Resistors[i].OnDie = false
@@ -257,7 +289,7 @@ func TestInjectDecoupledPathEscalates(t *testing.T) {
 	}
 
 	restore := inject.Enable(&inject.Faults{
-		FailPrepare: map[string]int{"supernodal": -1, "cholesky": -1},
+		FailPrepare: map[string]int{"supernodal": -1},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 1, opts)

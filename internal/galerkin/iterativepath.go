@@ -65,13 +65,13 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 	spAsm.End()
 	st := &factorStats{}
 	compLad := numguard.NewLadder("precond", opts.Guard, scalarComp, scalarComp.NormInf(),
-		scalarRungs(scalarComp, perm, opts.Kernel, opts.Workers, opts.Guard, false, st), rep)
+		scalarRungs(scalarComp, perm, opts.Workers, opts.Guard, false, st), rep)
 	compFac, err := compLad.Solver(0)
 	if err != nil {
 		return Result{}, fmt.Errorf("galerkin: iterative path mean factorization: %w", err)
 	}
 	g0Lad := numguard.NewLadder("precond-dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
+		scalarRungs(g0, perm, opts.Workers, opts.Guard, false, nil), rep)
 	g0Fac, err := g0Lad.Solver(0)
 	if err != nil {
 		return Result{}, fmt.Errorf("galerkin: iterative path DC factorization: %w", err)
@@ -137,7 +137,7 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 	cgIters := reg.Counter("galerkin.cg_iterations_total")
 
 	// On CG breakdown or a poisoned state the path escalates to the
-	// direct block ladder (block-cholesky → cholesky → lu → cg+ic0) and
+	// direct block ladder (block-cholesky → lu → cg+ic0) and
 	// re-solves the failing step there — correctness over the memory
 	// economy that motivated the iterative path.
 	var direct *numguard.Ladder
@@ -157,13 +157,13 @@ func solveCoupledIterative(sys *System, opts Options, visit func(int, float64, [
 		}
 		if direct == nil {
 			direct = numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-				blockRungs(comp, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
+				blockRungs(comp, perm, opts.Guard, false, nil), rep)
 		}
 		if op == comp {
 			return direct.Solve(step, x, rhs)
 		}
 		dcLad := numguard.NewLadder("dc", opts.Guard, op, op.NormInf(),
-			blockRungs(op, perm, opts.Kernel, opts.Workers, opts.Guard, false, nil), rep)
+			blockRungs(op, perm, opts.Guard, false, nil), rep)
 		return dcLad.Solve(step, x, rhs)
 	}
 

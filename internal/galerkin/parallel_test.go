@@ -141,9 +141,9 @@ func perColumnDecoupled(t *testing.T, sys *System, opts Options) [][][]float64 {
 	companion := sparse.Add(1, g0, 1/opts.Step, c0)
 	perm := order.Permute(opts.Ordering, companion)
 	lad := numguard.NewLadder("step", opts.Guard, companion, companion.NormInf(),
-		scalarRungs(companion, perm, opts.Kernel, 1, opts.Guard, false, nil), nil)
+		scalarRungs(companion, perm, 1, opts.Guard, false, nil), nil)
 	dcLad := numguard.NewLadder("dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, perm, opts.Kernel, 1, opts.Guard, false, nil), nil)
+		scalarRungs(g0, perm, 1, opts.Guard, false, nil), nil)
 	blocks, rhs := alloc2(b, n), alloc2(b, n)
 	cx, r := make([]float64, n), make([]float64, n)
 	snaps := make([][][]float64, opts.Steps+1)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"opera/internal/cancel"
-	"opera/internal/factor"
 	"opera/internal/numguard"
 	"opera/internal/obs"
 	"opera/internal/order"
@@ -21,10 +20,6 @@ type Options struct {
 	// Ordering selects the fill-reducing permutation of every
 	// factorization the solve runs; the zero value is AMD.
 	Ordering order.Method
-	// Kernel selects the scalar Cholesky kernel for the direct rungs
-	// (supernodal blocked panels by default; KernelScalar forces the
-	// up-looking reference kernel — the ablation switch).
-	Kernel factor.Kernel
 	// ForceCoupled disables the automatic decoupled fast path (used by
 	// the ablation benchmarks to measure its benefit).
 	ForceCoupled bool
@@ -81,10 +76,14 @@ func (o Options) Validate() error {
 // (galerkin.cg_iterations_total et al.); Result keeps the structural
 // facts of the solve plus the guard report accessor.
 type Result struct {
-	Decoupled  bool
-	Factorer   string // "block-cholesky", "cg+mean-precond" or "lu"
-	AugmentedN int    // size of the augmented system
-	FactorNNZ  int    // scalar-equivalent nnz of the factor (0 on the pure-CG rung)
+	Decoupled bool
+	// Factorer names the ladder rung that served the solve: the
+	// Cholesky rung ("block-cholesky" coupled, "supernodal" decoupled),
+	// "lu" or "cg+ic0" after an escalation, or "cg+mean-precond" on the
+	// §5.2 iterative path ("cg+mean-precond→<rung>" once it escalated).
+	Factorer   string
+	AugmentedN int // size of the augmented system
+	FactorNNZ  int // scalar-equivalent nnz of the factor (0 on the pure-CG rung)
 	StepsRun   int
 
 	// FactorFlops is the symbolic flop estimate of one numeric
@@ -129,8 +128,8 @@ func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][
 
 // solveDecoupled exploits a deterministic operator (§5.1, Eq. 27): one
 // n×n factorization, N+1 independent recursions. Every solve runs
-// through the numguard escalation ladder (supernodal → cholesky → lu →
-// cg+ic0) with residual verification.
+// through the numguard escalation ladder (supernodal → lu → cg+ic0)
+// with residual verification.
 //
 // A step solves only the live columns: a column turns live once its
 // excitation has a nonzero entry (its state is nonzero only after
@@ -163,12 +162,12 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 	spF := tr.Start("factor")
 	st := &factorStats{}
 	lad := numguard.NewLadder("step", opts.Guard, companion, companion.NormInf(),
-		scalarRungs(companion, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
+		scalarRungs(companion, perm, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
 	if _, err := lad.Solver(0); err != nil {
 		return Result{}, fmt.Errorf("galerkin: decoupled companion factorization: %w", err)
 	}
 	dcLad := numguard.NewLadder("dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, perm, opts.Kernel, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
+		scalarRungs(g0, perm, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
 	spF.SetAttrs(obs.String("rung", lad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
 	spF.End()

@@ -3,7 +3,7 @@
 // draw a realization of the variation variables, stamp the perturbed
 // matrices, refactor the companion matrix, run the fixed-step transient
 // and accumulate streaming statistics of every node voltage at every
-// time point. The symbolic Cholesky analysis is computed once on the
+// time point. The supernodal symbolic analysis is computed once on the
 // union pattern and shared across all samples, so each sample pays only
 // the numeric refactorization — the strongest fair version of the
 // baseline.
@@ -198,9 +198,6 @@ type Result struct {
 	FactorNNZ   int
 	FillRatio   float64
 	FactorFlops int64
-	// Kernel names the numeric factorization kernel the samples ran on
-	// ("supernodal" or "cholesky").
-	Kernel string
 }
 
 // mcChunk is the fixed number of samples per accumulation chunk. The
@@ -275,7 +272,7 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 	}
 	union := sys.UnionPattern()
 	pattern := sparse.Add(1, union, scale, union)
-	sym := factor.Analyze(pattern, order.Permute(opts.Ordering, pattern), factor.KernelSupernodal)
+	sym := factor.CholAnalyzeSupernodal(pattern, order.Permute(opts.Ordering, pattern), -1)
 
 	var lhsDraws [][]float64
 	if opts.LatinHypercube {
@@ -286,7 +283,7 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 	// per-worker sample-time histogram. Shards are pooled because a
 	// chunk's accumulator array (nsteps×n) is the largest transient
 	// allocation of the loop.
-	reuse := make([]factor.ScalarFactor, workers)
+	reuse := make([]*factor.SuperFactor, workers)
 	workerMS := make([]*obs.Histogram, workers)
 	for w := 0; w < workers; w++ {
 		workerMS[w] = reg.WorkerHistogram("montecarlo.sample_ms", w, obs.MSBuckets)
@@ -395,7 +392,6 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 		res.FactorNNZ = sym.LNNZ()
 		res.FillRatio = sym.FillRatio()
 		res.FactorFlops = int64(res.SamplesRun) * sym.FlopEstimate()
-		res.Kernel = sym.KernelName()
 	}
 	if runErr != nil {
 		// A canceled run (deadline, drain, stall watchdog) with merged

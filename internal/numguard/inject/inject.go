@@ -13,7 +13,7 @@ import (
 )
 
 // Faults describes the active fault set. Maps are keyed by rung name
-// ("block-cholesky", "cholesky", "lu", "cg+ic0", ...); the empty string
+// ("block-cholesky", "supernodal", "lu", "cg+ic0", ...); the empty string
 // matches every rung.
 type Faults struct {
 	// FailPrepare[rung] = k fails the next k factorization attempts of

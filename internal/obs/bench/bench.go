@@ -50,8 +50,10 @@ type Scenario struct {
 	// Ordering is the fill-reducing ordering of every path: "amd"
 	// (default), "nd", "md", "rcm" or "natural".
 	Ordering string `json:"ordering,omitempty"`
-	// Kernel selects the scalar Cholesky kernel: "" or "supernodal"
-	// (default, blocked panels), "scalar" (up-looking reference).
+	// Kernel names the Cholesky kernel of a factor row: "" or
+	// "supernodal" (default, blocked panels), "scalar" (up-looking
+	// reference), so KernelGate can pair the two. Every other path
+	// runs the kernel its matrix shape implies and rejects "scalar".
 	Kernel string `json:"kernel,omitempty"`
 	// Seed feeds the grid generator (and the mc sampler).
 	Seed int64 `json:"seed,omitempty"`
@@ -165,6 +167,9 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
+	if kern == "scalar" && sc.Path != "factor" {
+		return Row{}, fmt.Errorf("kernel %q applies only to the factor path, not %q", kern, sc.Path)
+	}
 	spec := grid.DefaultSpec(sc.Nodes, sc.Seed)
 	nl, err := grid.Build(spec)
 	if err != nil {
@@ -173,7 +178,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 	row := Row{
 		Name: sc.Name, Path: sc.Path, Nodes: sc.Nodes,
 		Order: sc.Order, Steps: sc.Steps, Ordering: ord.String(),
-		Kernel: kern.String(),
+		Kernel: kern,
 	}
 	sp := opts.Tracer.Start("bench."+sc.Name,
 		obs.Attr{Key: "path", Value: sc.Path}, obs.Int("nodes", sc.Nodes))
@@ -190,7 +195,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		row.N = sys.N
 		var nom *core.NominalResult
 		nom, err = core.Nominal(sys, core.Options{
-			Order: 1, Step: step, Steps: sc.Steps, Ordering: ord, Kernel: kern, Workers: opts.Workers,
+			Order: 1, Step: step, Steps: sc.Steps, Ordering: ord, Workers: opts.Workers,
 		})
 		if err == nil {
 			row.FactorNNZ = nom.Symbolic.LNNZ()
@@ -246,23 +251,30 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		}
 		row.N = sys.N
 		companion := sparse.Add(1, sys.Ga, 1/step, sys.Ca)
-		sym := factor.Analyze(companion, order.Permute(ord, companion), kern)
-		if ss, ok := sym.(*factor.SuperSymbolic); ok {
-			ss.Workers = parallel.Workers(opts.Workers)
-		}
+		perm := order.Permute(ord, companion)
 		// Repeated numeric refactorizations of one symbolic analysis —
 		// exactly the Monte Carlo per-sample hot loop, so this wall time
 		// is the kernel comparison the perf gate's KernelGate reads.
-		var f factor.ScalarFactor
-		for rep := 0; rep < factorReps && err == nil; rep++ {
-			f, err = sym.Refactorize(companion, f)
+		var flops int64
+		if kern == "scalar" {
+			sym := factor.CholAnalyze(companion, perm)
+			var f *factor.CholFactor
+			for rep := 0; rep < factorReps && err == nil; rep++ {
+				f, err = sym.Factorize(companion, f)
+			}
+			row.Rung = "cholesky"
+			row.FactorNNZ, row.FillRatio, flops = sym.LNNZ(), sym.FillRatio(), sym.FlopEstimate()
+		} else {
+			sym := factor.CholAnalyzeSupernodal(companion, perm, -1)
+			workers := parallel.Workers(opts.Workers)
+			var f *factor.SuperFactor
+			for rep := 0; rep < factorReps && err == nil; rep++ {
+				f, err = sym.Factorize(companion, f, workers)
+			}
+			row.Rung = "supernodal"
+			row.FactorNNZ, row.FillRatio, flops = sym.LNNZ(), sym.FillRatio(), sym.FlopEstimate()
 		}
-		if err == nil {
-			row.Rung = sym.KernelName()
-			row.FactorNNZ = sym.LNNZ()
-			row.FactorFlops = int64(factorReps) * sym.FlopEstimate()
-			row.FillRatio = sym.FillRatio()
-		}
+		row.FactorFlops = int64(factorReps) * flops
 	default:
 		return Row{}, fmt.Errorf("unknown path %q (want mc, decoupled, coupled, transient or factor)", sc.Path)
 	}
@@ -319,14 +331,16 @@ func runMC(sys *mna.System, sc Scenario, ord order.Method, workers int) (*montec
 	}, nil
 }
 
-func parseKernel(s string) (factor.Kernel, error) {
+// parseKernel normalizes a scenario's kernel name to the row's
+// "supernodal" or "scalar".
+func parseKernel(s string) (string, error) {
 	switch s {
 	case "", "super", "supernodal":
-		return factor.KernelSupernodal, nil
+		return "supernodal", nil
 	case "scalar":
-		return factor.KernelScalar, nil
+		return "scalar", nil
 	default:
-		return 0, fmt.Errorf("unknown kernel %q (want supernodal or scalar)", s)
+		return "", fmt.Errorf("unknown kernel %q (want supernodal or scalar)", s)
 	}
 }
 

@@ -114,9 +114,13 @@ func TestMCResultCarriesHealth(t *testing.T) {
 // overruns its latency objective gets pprof evidence captured while it
 // is still running, retrievable at /debug/profiles by trace ID.
 func TestSLOBreachProfileCapture(t *testing.T) {
+	// The objective sits well above the fast job's run time even under
+	// -race on a small host (about 60 ms there), and well below the slow
+	// job's (seconds).
+	const objective = 500 * time.Millisecond
 	s := newTestServer(t, Options{
 		QueueDepth: 4, ConcurrentJobs: 1, FlightJobs: 4,
-		SLOProfileAfter: 20 * time.Millisecond,
+		SLOProfileAfter: objective,
 	})
 	s.Profiles().CPUDuration = 30 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
@@ -125,7 +129,7 @@ func TestSLOBreachProfileCapture(t *testing.T) {
 	ctx := context.Background()
 
 	// Enough transient steps that the solve comfortably outlives the
-	// 20 ms objective on any machine.
+	// objective on any machine.
 	spec := quickRequest(73)
 	spec.Steps = 20000
 	spec.NoCache = true
@@ -196,7 +200,10 @@ func TestSLOBreachProfileCapture(t *testing.T) {
 	if err != nil || st2.State != StateDone {
 		t.Fatalf("fast job: %+v, %v", st2, err)
 	}
-	time.Sleep(50 * time.Millisecond) // past the objective timer
+	if objMS := float64(objective) / float64(time.Millisecond); st2.RunMS >= objMS {
+		t.Fatalf("fast job ran %.1f ms, not inside the %.0f ms objective; the test cannot tell a capture from a breach", st2.RunMS, objMS)
+	}
+	time.Sleep(50 * time.Millisecond) // let a capture in flight land
 	if _, ok := s.Profiles().Get(st2.TraceID, "heap"); ok {
 		t.Error("fast job was profiled despite finishing inside the objective")
 	}

@@ -269,7 +269,6 @@ func (s *Server) handoffJob(j *job) {
 	if s.journal != nil {
 		s.journal.record(journalRecord{Event: journalEnd, ID: j.id, State: stateHandedOff})
 	}
-	close(j.done)
 	s.mu.Unlock()
 	if j.log != nil {
 		j.event("job.handoff",
@@ -277,8 +276,10 @@ func (s *Server) handoffJob(j *job) {
 			slog.String(logx.KeyKey, j.key))
 	}
 	// The job never ran here; emit its terminal telemetry directly
-	// (finishJob never sees it), like a queued-job cancel.
+	// (finishJob never sees it), like a queued-job cancel, then
+	// release its waiters.
 	s.recordTerminal(j, StateCanceled, ErrHandedOff, false)
+	close(j.done)
 }
 
 // postToPeer submits req to one peer's /v1/jobs. Accepted (202), a

@@ -48,7 +48,7 @@ func guardSummary(rep *numguard.Report) *GuardSummary {
 // either end without rerunning anything.
 type NumHealth struct {
 	// Rung is the numguard ladder rung that served the solve
-	// ("block-cholesky", "cholesky", "lu", "cg+mean-precond", ...).
+	// ("block-cholesky", "supernodal", "lu", "cg+mean-precond", ...).
 	Rung string `json:"rung,omitempty"`
 	// MaxResidual is the worst accepted scaled residual ‖Ax−b‖/(‖A‖‖x‖)
 	// among verified solves.
@@ -178,16 +178,6 @@ func fromCore(kind string, res *core.Result) *JobResult {
 	return jr
 }
 
-// mcRung names the factorization kernel a Monte Carlo run used;
-// degraded results predating the finalize pass fall back to the
-// sampler's default kernel.
-func mcRung(res *montecarlo.Result) string {
-	if res.Kernel == "" {
-		return "supernodal"
-	}
-	return res.Kernel
-}
-
 // fromMC converts a Monte Carlo result.
 func fromMC(res *montecarlo.Result, vdd float64, elapsed time.Duration) *JobResult {
 	jr := &JobResult{
@@ -200,7 +190,7 @@ func fromMC(res *montecarlo.Result, vdd float64, elapsed time.Duration) *JobResu
 		SamplesRun: res.SamplesRun,
 		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
 		Health: &NumHealth{
-			Rung:        mcRung(res),
+			Rung:        "supernodal", // the kernel montecarlo factors every sample with
 			FactorNNZ:   res.FactorNNZ,
 			FillRatio:   res.FillRatio,
 			FactorFlops: res.FactorFlops,

@@ -885,7 +885,8 @@ func (s *Server) Profiles() *obs.ProfileRing { return s.profiles }
 
 // finishJob moves a job to its terminal state and releases waiters.
 // Terminal telemetry (log events, flight entry) is emitted after the
-// server mutex is released.
+// server mutex is released and before done closes, so a waiter never
+// sees a terminal job whose records do not exist yet.
 func (s *Server) finishJob(j *job, result []byte, err error) {
 	// Read the cancellation cause before releasing the job's own
 	// context resources — our cleanup cancel would overwrite it.
@@ -962,16 +963,16 @@ func (s *Server) finishJob(j *job, result []byte, err error) {
 		s.journal.record(journalRecord{Event: journalEnd, ID: j.id, State: j.state})
 	}
 	state := j.state
-	close(j.done)
 	s.mu.Unlock()
 	s.recordTerminal(j, state, err, deadline)
+	close(j.done)
 }
 
 // recordTerminal emits a job's terminal telemetry — the deadline/
 // cancel/panic event, the per-phase breakdown derived from the span
 // tree, the job.done line, and the flight-recorder entry. It runs
 // outside the server mutex, after the job is terminal (no more
-// writers touch the job's fields).
+// writers touch the job's fields) and before its done channel closes.
 func (s *Server) recordTerminal(j *job, state string, err error, deadline bool) {
 	if j.log == nil && s.flight == nil && s.spans == nil {
 		return
@@ -1344,12 +1345,12 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		if s.journal != nil {
 			s.journal.record(journalRecord{Event: journalEnd, ID: j.id, State: StateCanceled})
 		}
-		close(j.done)
 		st := s.statusLocked(j)
 		s.mu.Unlock()
 		// A queued job never ran: its terminal telemetry is emitted
-		// here (finishJob never sees it).
+		// here (finishJob never sees it), before waiters are released.
 		s.recordTerminal(j, StateCanceled, cancel.ErrCanceled, false)
+		close(j.done)
 		return st, nil
 	case StateRunning:
 		if j.cancelCause != nil {

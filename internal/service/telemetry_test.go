@@ -546,4 +546,46 @@ func TestDeadlineMissMetric(t *testing.T) {
 	}
 }
 
+// TestQueuedCancelRecordsBeforeRelease: a waiter that Cancel releases
+// from a queued job must already find the job's flight entry, because
+// terminal telemetry is written before done closes.
+func TestQueuedCancelRecordsBeforeRelease(t *testing.T) {
+	s := newTestServer(t, Options{QueueDepth: 4, ConcurrentJobs: 1, FlightJobs: 4})
+	running, err := s.Submit(slowRequest(140))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(running.ID)
+	queued, err := s.Submit(slowRequest(141))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	waited := make(chan error, 1)
+	go func() {
+		st, err := s.Wait(ctx, queued.ID)
+		_, recorded := s.Flight().Find(queued.TraceID)
+		switch {
+		case err != nil:
+			waited <- err
+		case st.State != StateCanceled:
+			waited <- fmt.Errorf("queued job state %s, want canceled", st.State)
+		case !recorded:
+			waited <- errors.New("Wait returned before the flight entry was recorded")
+		default:
+			waited <- nil
+		}
+	}()
+	// Not needed for correctness: a waiter already parked in Wait when
+	// Cancel closes done is the one that can outrun recordTerminal.
+	time.Sleep(10 * time.Millisecond)
+	if _, err := s.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-waited; err != nil {
+		t.Error(err)
+	}
+}
+
 var _ = fmt.Sprintf // keep fmt imported for debug edits

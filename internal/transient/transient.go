@@ -4,9 +4,11 @@
 // Carlo baseline (one run per parameter sample) and — applied to the
 // block-augmented Galerkin system — of OPERA itself. The companion
 // matrix G + C/h is factored once per run (the paper uses a fixed time
-// step), and a symbolic Cholesky analysis can be shared across runs
-// that differ only in matrix values, which is what makes per-sample
-// Monte Carlo refactorization affordable.
+// step) with the supernodal Cholesky kernel, and one symbolic analysis
+// can be shared across runs that differ only in matrix values, which is
+// what makes per-sample Monte Carlo refactorization affordable. A
+// companion that defeats Cholesky escalates to partial-pivoting LU, so
+// the stepper's ladder is supernodal → LU.
 package transient
 
 import (
@@ -52,17 +54,12 @@ type Options struct {
 	// Perm is an optional fill-reducing permutation for the companion
 	// matrix factorization.
 	Perm []int
-	// Kernel selects the Cholesky kernel (supernodal by default; the
-	// scalar up-looking kernel as the reference/ablation choice). Only
-	// consulted when Symbolic is nil — a supplied analysis carries its
-	// own kernel.
-	Kernel factor.Kernel
-	// Symbolic optionally supplies a pre-computed Cholesky analysis
-	// whose pattern covers G + scale·C; it overrides Perm and Kernel.
-	Symbolic factor.Analysis
+	// Symbolic optionally supplies a pre-computed supernodal analysis
+	// whose pattern covers G + scale·C; it overrides Perm.
+	Symbolic *factor.SuperSymbolic
 	// ReuseFactor optionally recycles a previous numeric factor's
 	// storage (must come from the same Symbolic).
-	ReuseFactor factor.ScalarFactor
+	ReuseFactor *factor.SuperFactor
 	// Obs, when non-nil, feeds transient.step_ms /
 	// transient.steps_total on the tracer's registry. Nil disables the
 	// per-step timing entirely (no time.Now in Advance).
@@ -116,9 +113,9 @@ type Stepper struct {
 	N      int
 	opts   Options
 	g, c   *sparse.Matrix
-	a      *sparse.Matrix      // companion G + scale·C (kept for escalation)
-	sym    factor.Analysis     // the symbolic analysis behind fac
-	fac    factor.ScalarFactor // nil when the LU rung is in use
+	a      *sparse.Matrix        // companion G + scale·C (kept for escalation)
+	sym    *factor.SuperSymbolic // the symbolic analysis behind fac
+	fac    *factor.SuperFactor   // nil when the LU rung is in use
 	lu     *factor.LUFactor
 	x      []float64 // current state
 	t      float64
@@ -135,9 +132,9 @@ type Stepper struct {
 	stepsTotal *obs.Counter
 }
 
-// NewStepper factors the companion matrix of (g, c) under opts. The
-// factorization is SPD-Cholesky; power grid MNA systems with
-// Norton-transformed pads always qualify.
+// NewStepper factors the companion matrix of (g, c) under opts with
+// the supernodal Cholesky kernel, on one worker; power grid MNA systems
+// with Norton-transformed pads always qualify.
 func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -153,7 +150,7 @@ func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 	a := sparse.Add(1, g, scale, c)
 	sym := opts.Symbolic
 	if sym == nil {
-		sym = factor.Analyze(a, opts.Perm, opts.Kernel)
+		sym = factor.CholAnalyzeSupernodal(a, opts.Perm, -1)
 	}
 	st := &Stepper{
 		N:    n,
@@ -175,7 +172,7 @@ func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 		st.stepMSMax = reg.Gauge("transient.step_ms_max")
 		st.stepsTotal = reg.Counter("transient.steps_total")
 	}
-	fac, err := sym.Refactorize(a, opts.ReuseFactor)
+	fac, err := sym.Factorize(a, opts.ReuseFactor, 1)
 	if err != nil {
 		// A companion matrix that defeats Cholesky (borderline
 		// indefinite under extreme parameter samples) escalates to
@@ -183,7 +180,7 @@ func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 		if !errors.Is(err, factor.ErrNotPositiveDefinite) {
 			return nil, fmt.Errorf("transient: companion factorization: %w", err)
 		}
-		lu, luErr := factor.LU(a, sym.Permutation())
+		lu, luErr := factor.LU(a, sym.Perm)
 		if luErr != nil {
 			return nil, fmt.Errorf("transient: companion factorization: %v; LU escalation: %w", err, luErr)
 		}
@@ -194,13 +191,12 @@ func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 	return st, nil
 }
 
-// Factorer names the factorization rung in use ("supernodal",
-// "cholesky" or "lu").
+// Factorer names the factorization rung in use ("supernodal" or "lu").
 func (s *Stepper) Factorer() string {
 	if s.lu != nil {
 		return "lu"
 	}
-	return s.sym.KernelName()
+	return "supernodal"
 }
 
 // solveTo dispatches to the active factorization rung, reusing the
@@ -222,7 +218,7 @@ func (s *Stepper) guardState(stage string, step int, b []float64) error {
 		return nil
 	}
 	if s.lu == nil {
-		lu, err := factor.LU(s.a, s.sym.Permutation())
+		lu, err := factor.LU(s.a, s.sym.Perm)
 		if err == nil {
 			s.lu = lu
 			s.lu.SolveTo(s.x, b)
@@ -239,12 +235,12 @@ func (s *Stepper) guardState(stage string, step int, b []float64) error {
 
 // Factor exposes the companion factor so callers can recycle its
 // storage across Monte Carlo samples (nil when the LU rung is in use).
-func (s *Stepper) Factor() factor.ScalarFactor { return s.fac }
+func (s *Stepper) Factor() *factor.SuperFactor { return s.fac }
 
 // Symbolic exposes the companion's symbolic analysis so callers can
 // share one etree/supernode computation across steppers whose
 // matrices have identical patterns (see Options.Symbolic).
-func (s *Stepper) Symbolic() factor.Analysis { return s.sym }
+func (s *Stepper) Symbolic() *factor.SuperSymbolic { return s.sym }
 
 // Snapshot captures the stepper's resumable state (deep copy).
 func (s *Stepper) Snapshot() *Snapshot {
@@ -314,11 +310,7 @@ func (s *Stepper) InitDC(u0 []float64) error {
 	if _, err := iterative.CG(s.g, s.x, u0, iterative.CGOptions{
 		Tol: 1e-12, MaxIter: 200, M: pre,
 	}); err != nil {
-		kern := factor.KernelSupernodal
-		if s.sym.KernelName() == "cholesky" {
-			kern = factor.KernelScalar
-		}
-		fg, ferr := factor.CholeskyKernel(s.g, s.sym.Permutation(), kern)
+		fg, ferr := factor.CholAnalyzeSupernodal(s.g, s.sym.Perm, -1).Factorize(s.g, nil, 1)
 		if ferr != nil {
 			return fmt.Errorf("transient: DC solve: CG failed (%v) and factorization failed: %w", err, ferr)
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"opera/internal/factor"
+	"opera/internal/obs"
 	"opera/internal/sparse"
 )
 
@@ -213,6 +215,43 @@ func TestStepperSymbolicReuse(t *testing.T) {
 		if math.Abs(lhs[i]-want) > 1e-9 {
 			t.Fatalf("residual at %d: %g vs %g", i, lhs[i], want)
 		}
+	}
+}
+
+// TestInitDCFallsBackToFactoringG drives InitDC past its companion-
+// preconditioned CG: with 1e6 F node capacitors and h = 1e-3 the
+// companion G + C/h is almost C/h, a useless preconditioner for G, so
+// CG exhausts its 200 iterations and InitDC factors G itself.
+func TestInitDCFallsBackToFactoringG(t *testing.T) {
+	const n = 1500
+	g, c := ladder(n) // resistor chain, grounded through the pad at node 0
+	c = c.Clone().Scale(1e7)
+	reg := obs.NewRegistry()
+	factor.SetMetrics(reg)
+	t.Cleanup(func() { factor.SetMetrics(nil) })
+	st, err := NewStepper(g, c, Options{Step: 1e-3, Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u0 := make([]float64, n)
+	u0[0] = 10 * 1.2 // pad Norton injection
+	for i := 1; i < n; i++ {
+		u0[i] = -1e-6 // load currents
+	}
+	if err := st.InitDC(u0); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["factor.factorizations_total"]; got != 2 {
+		t.Fatalf("%d factorizations, want 2 (the companion, then G)", got)
+	}
+	gx := make([]float64, n)
+	g.MulVec(gx, st.State())
+	res := 0.0
+	for i := range gx {
+		res = math.Max(res, math.Abs(gx[i]-u0[i]))
+	}
+	if res > 1e-9 {
+		t.Errorf("DC residual ‖G·x − u0‖∞ = %g", res)
 	}
 }
 
