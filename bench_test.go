@@ -6,7 +6,6 @@
 //	BenchmarkFigure2          — Figure 2 (drop distribution, second node)
 //	BenchmarkSpecialCase      — §5.1 decoupled analysis vs coupled vs MC
 //	BenchmarkOrderSweep       — expansion order p = 1..3 accuracy/cost
-//	BenchmarkSolverAblation   — §5.2 direct vs mean-preconditioned CG
 //	BenchmarkMORAblation      — §5.2 MOR-reduced vs full stochastic solve
 //	BenchmarkOrderingAblation — ND vs RCM vs MD vs natural fill/time
 //	BenchmarkOperaOnly        — OPERA analysis cost scaling across sizes
@@ -127,23 +126,6 @@ func BenchmarkOrderSweep(b *testing.B) {
 			}
 		})
 		b.ReportMetric(rows[len(rows)-1].AvgErrStdPct, "order3-sigma-err-%")
-	}
-}
-
-func BenchmarkSolverAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunSolverAblation(1600, 2005)
-		if err != nil {
-			b.Fatal(err)
-		}
-		once("solver", func() {
-			fmt.Println("\nSolver-path ablation (§5.2, reproduced):")
-			if err := experiments.FormatSolverAblation(rows).Write(os.Stdout); err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.ReportMetric(rows[0].OperaTime.Seconds(), "direct-s")
-		b.ReportMetric(rows[1].OperaTime.Seconds(), "iterative-s")
 	}
 }
 

@@ -11,7 +11,6 @@
 //	benchtab -exp fig2
 //	benchtab -exp special
 //	benchtab -exp ordersweep
-//	benchtab -exp solver
 //	benchtab -exp ordering
 //	benchtab -exp all
 //
@@ -52,7 +51,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: table1, fig1, fig2, special, ordersweep, solver, mor, ordering, all")
+		exp         = flag.String("exp", "all", "experiment: table1, fig1, fig2, special, ordersweep, mor, ordering, all")
 		full        = flag.Bool("full", false, "paper-scale configuration (slow)")
 		seed        = flag.Int64("seed", 2005, "experiment seed")
 		tracePath   = flag.String("trace", "", "render a markdown timing table from this JSON trace file and exit")
@@ -150,18 +149,6 @@ func main() {
 		}
 		fmt.Printf("Expansion-order sweep (%d nodes, %d-sample MC reference)\n\n", nodes, samples)
 		return experiments.FormatOrderSweep(rows).Write(os.Stdout)
-	})
-	run("solver", func() error {
-		nodes := 1600
-		if *full {
-			nodes = 19181
-		}
-		rows, err := experiments.RunSolverAblation(nodes, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Solver-path ablation (§5.2), %d nodes\n\n", nodes)
-		return experiments.FormatSolverAblation(rows).Write(os.Stdout)
 	})
 	run("mor", func() error {
 		nodes := 2600

@@ -56,10 +56,10 @@ func main() {
 			log.Fatal(err)
 		}
 		// With up to 10 chaos dimensions the basis reaches 66 functions;
-		// the §5.2 iterative path (one scalar factorization, a few CG
-		// iterations per step) is the right solver at that block size.
+		// the coupled solve's CG (one scalar factorization, a few
+		// iterations per step) keeps that block size affordable.
 		worst := 0.0
-		_, err = galerkin.Solve(gsys, galerkin.Options{Step: 1e-10, Steps: 20, Iterative: true},
+		_, err = galerkin.Solve(gsys, galerkin.Options{Step: 1e-10, Steps: 20},
 			func(step int, _ float64, coeffs [][]float64) {
 				for i := 0; i < sys.N; i++ {
 					v := 0.0

@@ -60,10 +60,10 @@ func AnalyzeCorrelated(nl *netlist.Netlist, cov [][]float64, opts Options) (*Res
 // AnalyzeSpatial runs OPERA under the intra-die spatial variation model
 // (per-region fields with exponential correlation, reduced to principal
 // components — the within-die case the paper's §3 defers to future
-// work). With many retained principal components the direct block
-// factorization grows as (basis size)³; the solver's memory budget
-// switches to the §5.2 iterative path automatically, or set
-// opts.Iterative explicitly.
+// work). Many retained principal components make the basis large; the
+// coupled solve's CG factors only the scalar mean companion, and its
+// block factorization, which grows as (basis size)³, serves a long
+// window only when it is cheaper and fits 4 GiB.
 func AnalyzeSpatial(nl *netlist.Netlist, spec mna.SpatialSpec, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {

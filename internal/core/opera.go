@@ -50,11 +50,10 @@ type Options struct {
 	// ForceCoupled and ForceLU are ablation switches (see galerkin).
 	ForceCoupled bool
 	ForceLU      bool
-	// Iterative selects the §5.2 mean-preconditioned CG solver path.
-	Iterative bool
 	// Workers caps the worker pools of the parallel hot loops (Monte
-	// Carlo sampling, decoupled per-basis solves, block applies); 0 or
-	// negative means GOMAXPROCS. Results are bit-identical for every
+	// Carlo sampling, decoupled column chunks, the coupled Kronecker
+	// apply and preconditioner columns); 0 or negative means
+	// GOMAXPROCS. Results are bit-identical for every
 	// value.
 	Workers int
 	// Guard tunes the numerical-robustness layer (residual tolerance,
@@ -183,7 +182,7 @@ func analyze(gsys *galerkin.System, vdd float64, opts Options) (*Result, error) 
 	gres, err := galerkin.Solve(gsys, galerkin.Options{
 		Step: opts.Step, Steps: opts.Steps,
 		Ordering: opts.Ordering, ForceCoupled: opts.ForceCoupled,
-		ForceLU: opts.ForceLU, Iterative: opts.Iterative,
+		ForceLU: opts.ForceLU,
 		Workers: opts.Workers, Guard: opts.Guard, Obs: opts.Obs,
 		Progress: opts.Progress, Ctx: opts.Ctx,
 	}, func(step int, _ float64, coeffs [][]float64) {

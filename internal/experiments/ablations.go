@@ -10,7 +10,6 @@ import (
 	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/netlist"
-	"opera/internal/obs"
 	"opera/internal/order"
 	"opera/internal/report"
 )
@@ -79,16 +78,17 @@ func FormatOrderSweep(rows []OrderSweepRow) *report.Table {
 	return t
 }
 
-// OrderingRow records the augmented-factorization cost under one
-// fill-reducing ordering.
+// OrderingRow records the coupled solve's factorization cost under one
+// fill-reducing ordering: the nnz of the factor its steps ran on (the
+// mean preconditioner's on this 20-step window).
 type OrderingRow struct {
 	Ordering  order.Method
 	FactorNNZ int
 	OperaTime time.Duration
 }
 
-// RunOrderingAblation compares fill-reducing orderings on the augmented
-// system of one grid.
+// RunOrderingAblation compares fill-reducing orderings on the coupled
+// solve of one grid.
 func RunOrderingAblation(nodes int, seed int64, orderings []order.Method) ([]OrderingRow, error) {
 	nl, err := grid.Build(grid.DefaultSpec(nodes, seed))
 	if err != nil {
@@ -116,7 +116,7 @@ func RunOrderingAblation(nodes int, seed int64, orderings []order.Method) ([]Ord
 
 // FormatOrderingAblation renders the ordering comparison.
 func FormatOrderingAblation(rows []OrderingRow) *report.Table {
-	t := report.NewTable("Ordering", "nnz(L) augmented", "CPU (s)")
+	t := report.NewTable("Ordering", "nnz(L)", "CPU (s)")
 	for _, r := range rows {
 		t.AddRow(r.Ordering.String(), r.FactorNNZ, fmt.Sprintf("%.3f", r.OperaTime.Seconds()))
 	}
@@ -238,70 +238,6 @@ func sqrt(x float64) float64 {
 		return 0
 	}
 	return math.Sqrt(x)
-}
-
-// SolverRow records one solver path's cost on the same grid — the §5.2
-// study: direct block factorization of the augmented system versus the
-// mean-preconditioned iterative block solver.
-type SolverRow struct {
-	Path         string
-	OperaTime    time.Duration
-	FactorNNZ    int
-	CGIterations int
-	MaxMeanDiff  float64 // vs the direct path
-}
-
-// RunSolverAblation compares the direct and iterative coupled solvers.
-func RunSolverAblation(nodes int, seed int64) ([]SolverRow, error) {
-	nl, err := grid.Build(grid.DefaultSpec(nodes, seed))
-	if err != nil {
-		return nil, err
-	}
-	sys, err := mna.Build(nl, mna.DefaultSpec())
-	if err != nil {
-		return nil, err
-	}
-	base := core.Options{Order: 2, Step: 1e-10, Steps: 20}
-	direct, err := core.Analyze(sys, base)
-	if err != nil {
-		return nil, err
-	}
-	iterOpts := base
-	iterOpts.Iterative = true
-	// A private tracer supplies the CG-iteration count: the counter
-	// replaced the old galerkin.Result.CGIterations field.
-	iterObs := obs.New("solver-ablation")
-	iterOpts.Obs = iterObs
-	iter, err := core.Analyze(sys, iterOpts)
-	if err != nil {
-		return nil, err
-	}
-	cgIters := int(iterObs.Registry().Counter("galerkin.cg_iterations_total").Value())
-	maxDiff := 0.0
-	for s := range direct.Mean {
-		for i := range direct.Mean[s] {
-			if d := abs(direct.Mean[s][i] - iter.Mean[s][i]); d > maxDiff {
-				maxDiff = d
-			}
-		}
-	}
-	return []SolverRow{
-		{Path: "direct block Cholesky", OperaTime: direct.Elapsed,
-			FactorNNZ: direct.Galerkin.FactorNNZ},
-		{Path: "CG + mean preconditioner (§5.2)", OperaTime: iter.Elapsed,
-			FactorNNZ: iter.Galerkin.FactorNNZ, CGIterations: cgIters,
-			MaxMeanDiff: maxDiff},
-	}, nil
-}
-
-// FormatSolverAblation renders the solver comparison.
-func FormatSolverAblation(rows []SolverRow) *report.Table {
-	t := report.NewTable("Solver path", "CPU (s)", "Factor nnz", "CG iters", "Max µ diff")
-	for _, r := range rows {
-		t.AddRow(r.Path, fmt.Sprintf("%.3f", r.OperaTime.Seconds()),
-			r.FactorNNZ, r.CGIterations, fmt.Sprintf("%.2g", r.MaxMeanDiff))
-	}
-	return t
 }
 
 // MORRow compares full-grid OPERA against MOR-accelerated OPERA at the

@@ -178,27 +178,6 @@ func TestSpecialCaseExperiment(t *testing.T) {
 	}
 }
 
-func TestSolverAblation(t *testing.T) {
-	rows, err := RunSolverAblation(250, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	if rows[1].MaxMeanDiff > 1e-8 {
-		t.Errorf("solver paths disagree by %g", rows[1].MaxMeanDiff)
-	}
-	if rows[1].CGIterations == 0 {
-		t.Error("iterative path reported zero iterations")
-	}
-	// The iterative path factors only the scalar mean system.
-	if rows[1].FactorNNZ >= rows[0].FactorNNZ {
-		t.Errorf("iterative factor nnz %d should be far below direct %d",
-			rows[1].FactorNNZ, rows[0].FactorNNZ)
-	}
-}
-
 func TestMORAblation(t *testing.T) {
 	row, err := RunMORAblation(300, 10, 21)
 	if err != nil {

@@ -40,7 +40,7 @@ func cancelTestSystem(t *testing.T, rhsOnly bool) *System {
 	return gsys
 }
 
-// TestSolveCancelAllPaths cancels each of the three solve paths from
+// TestSolveCancelAllPaths cancels each of the two solve paths from
 // inside the visit callback and checks every one stops within a step
 // with the structured error, leaks no worker goroutines, and leaves
 // the system solvable again (factors and the numguard ladder are not
@@ -54,7 +54,6 @@ func TestSolveCancelAllPaths(t *testing.T) {
 	}{
 		{"decoupled", "galerkin.decoupled", true, Options{}},
 		{"coupled", "galerkin.coupled", false, Options{ForceCoupled: true}},
-		{"iterative", "galerkin.iterative", false, Options{ForceCoupled: true, Iterative: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

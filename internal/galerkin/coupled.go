@@ -1,7 +1,6 @@
 package galerkin
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -9,97 +8,101 @@ import (
 	"opera/internal/factor"
 	"opera/internal/iterative"
 	"opera/internal/numguard"
+	"opera/internal/numguard/inject"
 	"opera/internal/obs"
 	"opera/internal/order"
 	"opera/internal/parallel"
 	"opera/internal/sparse"
 )
 
-// solveCoupled runs the general OPERA path. The augmented companion
-// matrix G̃ + C̃/h is kept in block form — the scalar grid sparsity
-// pattern with one dense (N+1)×(N+1) chaos block per entry — and
-// factored once with the block Cholesky, whose elimination tree and
-// fill are those of the *n-node* grid rather than the (N+1)·n scalar
-// graph. The DC initialization G̃·a(0) = Ũ(0) is solved by conjugate
-// gradients preconditioned with the companion factor (G̃ differs from
-// it only by C̃/h, which is small at power-grid time constants), so the
-// whole transient costs a single factorization. If the block Cholesky
-// reports an indefinite matrix (possible under extreme variation
-// magnitudes where the Gaussian linear model loses positivity), the
-// numguard escalation ladder takes over: pivot-growth-checked LU on
-// the expanded CSC system, then IC(0)-preconditioned CG, with every
-// transition recorded and every accepted solve residual-verified.
+// meanPrecondRung names the coupled path's CG solve in Result.Factorer,
+// transitions and fault injection.
+const meanPrecondRung = "cg+mean-precond"
+
+// The coupled CG solves stop at this relative recurrence residual; the
+// true scaled residual is verified separately, on the numguard cadence.
+const (
+	cgTol     = 1e-11
+	cgMaxIter = 1000
+)
+
+// maxBlockFactorBytes caps the block factor's values, nnz(L)·B²·8
+// bytes, for a cost handoff: a window whose block factor would be
+// larger stays on CG.
+const maxBlockFactorBytes = 4 << 30
+
+// solveCoupled runs the general OPERA path, the paper's §5.2 "iterative
+// block solver with an appropriate pre-conditioner": preconditioned
+// conjugate gradients on the augmented system (Eq. 19), G̃ for the DC
+// solve and G̃ + C̃/h for every step. The operators apply term by term
+// in Kronecker form (kronOp), never assembled. The preconditioner is
+// the block-diagonal mean I_B ⊗ (G₀ + C₀/h)⁻¹ (I_B ⊗ G₀⁻¹ for DC): one
+// scalar factorization, applied to the B chaos columns as batched
+// solves. Every solve on the numguard cadence is checked against its
+// true scaled residual.
+//
+// The block ladder (block-cholesky → lu → cg+ic0 on the assembled
+// G̃ + C̃/h) takes the rest of the window in two cases. A CG fault —
+// breakdown, a non-finite answer or a true residual above tolerance —
+// escalates: it records a transition and re-solves the step there. A
+// cost handoff is no fault: when, after the first step CG iterates on,
+// handoffCounts say the remaining steps are cheaper on the block
+// factor, the window moves there and the report stays healthy.
 func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
 	n, b := sys.N, sys.Basis.Size()
-	// Scalar union pattern over every operator term.
+	nb := n * b
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
 	perm := order.Permute(opts.Ordering, pattern)
 	spO.End()
 
-	// Predict the block factor's memory from the scalar symbolic
-	// analysis and fall back to the §5.2 iterative path when it exceeds
-	// the budget: nnz(L_scalar)·B²·8 bytes of values.
-	budget := opts.MemoryBudget
-	if budget == 0 {
-		budget = 4 << 30
-	}
-	if budget > 0 {
-		sym := factor.CholAnalyze(pattern, perm)
-		need := int64(sym.LNNZ()) * int64(b*b) * 8
-		if need > budget {
-			return solveCoupledIterative(sys, opts, visit)
-		}
-	}
-
 	spF := tr.Start("factor")
-	// Companion G̃ + C̃/h and the separate C̃ (needed for stepping).
 	spAsm := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
-	comp := factor.NewBlockMatrix(pattern, b)
-	for _, t := range sys.GTerms {
-		comp.AddTerm(t.Coupling, t.A)
-	}
-	var cBM *factor.BlockMatrix
-	if len(sys.CTerms) > 0 {
-		cBM = factor.NewBlockMatrix(pattern, b)
-		for _, t := range sys.CTerms {
-			cBM.AddTerm(t.Coupling, t.A)
-			comp.AddTerm(t.Coupling.Clone().Scale(1/opts.Step), t.A)
-		}
-	}
-	gBM := factor.NewBlockMatrix(pattern, b)
-	for _, t := range sys.GTerms {
-		gBM.AddTerm(t.Coupling, t.A)
-	}
+	workers := parallel.Workers(opts.Workers)
+	gOp := newKronOp(n, b, workers).add(sys.GTerms, 1)
+	cOp := newKronOp(n, b, workers).add(sys.CTerms, 1)
+	stepOp := newKronOp(n, b, workers).add(sys.GTerms, 1).add(sys.CTerms, 1/opts.Step)
+	gNorm, stepNorm := gOp.normInf(), stepOp.normInf()
+	// The preconditioners factor the identity-coupled (ξ-free) part of
+	// each operator: G₀ for DC, the mean companion G₀ + C₀/h per step.
+	g0, meanComp := gOp.mean, stepOp.mean
 	spAsm.End()
 
-	res := Result{AugmentedN: n * b}
+	res := Result{Factorer: meanPrecondRung, AugmentedN: nb}
 	rep := &numguard.Report{}
 	rep.Bind(tr.Registry())
 	res.guard = rep
+	// The preconditioner factors go through scalar ladders of their
+	// own: a mean companion that defeats Cholesky falls back to LU
+	// rather than aborting.
 	st := &factorStats{}
-	lad := numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-		blockRungs(comp, perm, opts.Guard, opts.ForceLU, st), rep)
-	sol, err := lad.Solver(0)
+	compLad := numguard.NewLadder("precond", opts.Guard, meanComp, meanComp.NormInf(),
+		scalarRungs(meanComp, perm, workers, opts.Guard, opts.ForceLU, st), rep)
+	compFac, err := compLad.Solver(0)
 	if err != nil {
-		return Result{}, fmt.Errorf("galerkin: companion factorization: %w", err)
+		return Result{}, fmt.Errorf("galerkin: mean companion factorization: %w", err)
 	}
-	res.Factorer = lad.Rung()
+	g0Lad := numguard.NewLadder("precond-dc", opts.Guard, g0, g0.NormInf(),
+		scalarRungs(g0, perm, workers, opts.Guard, opts.ForceLU, nil), rep)
+	g0Fac, err := g0Lad.Solver(0)
+	if err != nil {
+		return Result{}, fmt.Errorf("galerkin: mean DC factorization: %w", err)
+	}
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
-	spF.SetAttrs(obs.String("rung", lad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
+	spF.SetAttrs(obs.String("rung", compLad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
 	spF.End()
 
-	// Node-major state and workspaces.
-	nb := n * b
 	x := make([]float64, nb)
 	rhs := make([]float64, nb)
-	work := make([]float64, nb)
+	work := make([]float64, nb) // C̃·x, then the verified residual
 	rhsBlocks := make([][]float64, b)
 	outBlocks := make([][]float64, b)
+	cols := make([][]float64, b) // the preconditioner's chaos columns
 	for m := 0; m < b; m++ {
 		rhsBlocks[m] = make([]float64, n)
 		outBlocks[m] = make([]float64, n)
+		cols[m] = make([]float64, n)
 	}
 	pack := func(blocks [][]float64, dst []float64) {
 		for m := 0; m < b; m++ {
@@ -119,39 +122,107 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	}
 
 	spT := tr.Start("transient", obs.Int("steps", opts.Steps))
-	spT.MarkAllocsApprox() // row-partitioned parallel apply runs on worker goroutines
+	spT.MarkAllocsApprox() // the Kronecker apply and the preconditioner run on worker goroutines
 	defer spT.End()
-	workers := parallel.Workers(opts.Workers)
 	reg := tr.Registry()
 	reg.Gauge("parallel.workers").Set(float64(workers))
 	stepMS := reg.Histogram("galerkin.step_ms", obs.MSBuckets)
 	stepsTotal := reg.Counter("galerkin.steps_total")
 	cgIters := reg.Counter("galerkin.cg_iterations_total")
 
-	// DC init by companion-preconditioned CG on G̃ (the companion factor
-	// differs from G̃ only by C̃/h, small at power-grid time constants).
-	sys.RHS(0, rhsBlocks)
-	pack(rhsBlocks, rhs)
-	pre := iterative.PrecondFunc(func(z, r []float64) { sol.SolveTo(z, r) })
-	r0, cgErr := iterative.CG(gBM, x, rhs, iterative.CGOptions{
-		Tol: 1e-12, MaxIter: 200, M: pre,
+	// The preconditioner z = (I_B ⊗ M⁻¹)·r, M the mean factor fac: the B
+	// chaos columns split into one contiguous range per worker, each
+	// solved by one batched SolveMany when fac offers it (a
+	// SuperFactor, bitwise equal per column to SolveTo), column by
+	// column otherwise (a preconditioner ladder escalated to LU). A
+	// column's arithmetic does not depend on its range, so z is
+	// bit-identical for every worker count.
+	var fac numguard.Solver
+	pre := iterative.PrecondFunc(func(z, r []float64) {
+		if err := parallel.Split(workers, b, func(_, lo, hi int) error {
+			for c, col := range cols[lo:hi] {
+				for i := range col {
+					col[i] = r[i*b+lo+c]
+				}
+			}
+			if ms, ok := fac.(numguard.ManySolver); ok {
+				ms.SolveMany(cols[lo:hi], cols[lo:hi])
+			} else {
+				for _, col := range cols[lo:hi] {
+					fac.SolveTo(col, col)
+				}
+			}
+			for c, col := range cols[lo:hi] {
+				for i, v := range col {
+					z[i*b+lo+c] = v
+				}
+			}
+			return nil
+		}); err != nil {
+			panic(err) // a panic in a solve: re-raise it on the caller
+		}
 	})
-	cgIters.Add(int64(r0.Iterations))
-	if cgErr != nil || !numguard.Finite(x) {
-		// Stiff step sizes can defeat the preconditioner; run the DC
-		// solve through its own ladder on G̃ as a (rare) fallback.
-		if cgErr == nil {
-			cgErr = errors.New("non-finite DC solution")
+	cfg := opts.Guard.WithDefaults()
+	var cg iterative.CGWork
+	// cgSolve solves op·x = rhs by CG warm-started from x, preconditioned
+	// with the mean factor f, verifying the answer on the cadence. It
+	// returns the iteration count and, on a fault, its reason.
+	cgSolve := func(step int, op *kronOp, anorm float64, f numguard.Solver) (int, string) {
+		fac = f
+		r, err := cg.CG(op, x, rhs, iterative.CGOptions{Tol: cgTol, MaxIter: cgMaxIter, M: pre})
+		inject.CorruptSolve(meanPrecondRung, step, x)
+		cgIters.Add(int64(r.Iterations))
+		switch {
+		case err != nil:
+			return r.Iterations, err.Error()
+		case !numguard.Finite(x):
 			rep.NonFinite()
+			return r.Iterations, "non-finite solution"
+		case cfg.ShouldVerify(step):
+			res := numguard.ScaledResidual(op, anorm, work, x, rhs)
+			if res > cfg.ResidualTol {
+				return r.Iterations, fmt.Sprintf("true residual %.3g above tolerance %.3g", res, cfg.ResidualTol)
+			}
+			rep.Accept(res)
+		}
+		return r.Iterations, ""
+	}
+
+	// block is the ladder the rest of the window runs on after a
+	// handoff or a CG fault; nil while CG serves.
+	var block *numguard.Ladder
+	blockStats := &factorStats{}
+	faulted, decided := false, false
+	toBlock := func() {
+		comp := assembleBlock(pattern, b, sys.GTerms, sys.CTerms, 1/opts.Step)
+		block = numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
+			blockRungs(comp, perm, opts.Guard, opts.ForceLU, blockStats), rep)
+	}
+	// escalate records a CG fault and re-solves the step on the block
+	// ladder; the DC operator G̃ gets a ladder of its own.
+	escalate := func(step int, reason string) error {
+		faulted = true
+		if block == nil {
+			toBlock()
 		}
 		rep.AddTransition(numguard.Transition{
-			Stage: "dc", From: "cg+companion-precond", To: "ladder",
-			Reason: fmt.Sprintf("CG failed: %v", cgErr),
+			Stage: "step", Step: step, From: meanPrecondRung, To: block.Rung(), Reason: reason,
 		})
-		dcLad := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
+		if step > 0 {
+			rep.AddStepRetry()
+			return block.Solve(step, x, rhs)
+		}
+		gBM := assembleBlock(pattern, b, sys.GTerms, nil, 0)
+		dc := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
 			blockRungs(gBM, perm, opts.Guard, opts.ForceLU, nil), rep)
-		if err := dcLad.Solve(0, x, rhs); err != nil {
-			return Result{}, fmt.Errorf("galerkin: DC solve: %w", err)
+		return dc.Solve(0, x, rhs)
+	}
+
+	sys.RHS(0, rhsBlocks)
+	pack(rhsBlocks, rhs)
+	if _, fault := cgSolve(0, gOp, gNorm, g0Fac); fault != "" {
+		if err := escalate(0, fault); err != nil {
+			return Result{}, fmt.Errorf("galerkin: coupled DC solve: %w", err)
 		}
 	}
 	if visit != nil {
@@ -166,17 +237,33 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 		stepStart := time.Now()
 		sys.RHS(t, rhsBlocks)
 		pack(rhsBlocks, rhs)
-		if cBM != nil {
-			// The gather-form apply is used at every worker count
-			// (including 1) so the summation order — and therefore the
-			// trajectory — never depends on Workers.
-			cBM.MulVecSym(work, x, workers)
-			for i := range rhs {
-				rhs[i] += work[i] / opts.Step
-			}
+		cOp.MulVec(work, x)
+		for i := range rhs {
+			rhs[i] += work[i] / opts.Step
 		}
-		if err := lad.Solve(k, x, rhs); err != nil {
-			return Result{}, fmt.Errorf("galerkin: step %d: %w", k, err)
+		if block != nil {
+			if err := block.Solve(k, x, rhs); err != nil {
+				return Result{}, fmt.Errorf("galerkin: coupled step %d: %w", k, err)
+			}
+		} else if iters, fault := cgSolve(k, stepOp, stepNorm, compFac); fault != "" {
+			if err := escalate(k, fault); err != nil {
+				return Result{}, fmt.Errorf("galerkin: coupled step %d: %w", k, err)
+			}
+		} else if !decided && iters > 0 {
+			// The first step CG had to iterate on (step 1 unless the
+			// excitation starts later) prices the rest of the window.
+			decided = true
+			if k < opts.Steps {
+				sym := factor.CholAnalyze(pattern, perm)
+				if (handoffCounts{
+					n: n, b: b, stepsLeft: opts.Steps - k, cgIters: iters,
+					precondLNNZ: st.nnz, blockLNNZ: sym.LNNZ(),
+					kronMACs: stepOp.macs(), blockFlops: sym.FlopEstimate(),
+				}).blockCheaper() {
+					toBlock()
+					spT.SetAttrs(obs.Int("handoff_step", k+1))
+				}
+			}
 		}
 		stepMS.ObserveSince(stepStart)
 		stepsTotal.Inc()
@@ -187,10 +274,64 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 		}
 		res.StepsRun = k
 	}
-	res.Factorer = lad.Rung()
-	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
-	res.CondEst = lad.CondEstimate(nb)
+	if block == nil {
+		// The mean companion is the operator CG preconditioned with; its
+		// κ₁ is the meaningful per-job conditioning signal.
+		res.CondEst = compLad.CondEstimate(n)
+		return res, nil
+	}
+	res.Factorer = block.Rung()
+	if faulted {
+		res.Factorer = meanPrecondRung + "→" + block.Rung()
+	}
+	res.FactorNNZ, res.FactorFlops, res.FillRatio = blockStats.nnz, blockStats.flops, blockStats.fill
+	res.CondEst = block.CondEstimate(nb)
 	return res, nil
+}
+
+// handoffCounts are the deterministic counts the cost handoff compares
+// after the first step CG iterates on: the grid and basis sizes, the
+// steps left, that step's CG iterations, the preconditioner factor's
+// nnz(L₀), the MACs of one Kronecker apply, and the symbolic
+// Σ_j |L(:,j)|² and nnz(L) of the scalar union pattern under the
+// solve's permutation.
+type handoffCounts struct {
+	n, b, stepsLeft, cgIters int
+	precondLNNZ, blockLNNZ   int
+	kronMACs, blockFlops     int64
+}
+
+// blockCheaper reports whether the remaining steps run cheaper on the
+// block factor than on CG. Counts alone decide, so the decision is the
+// same at every worker count. The block side pays one factorization,
+// F·B³, and per step a block forward and back solve, 2·nnz(L)·B². CG
+// pays per step the measured iteration count times one iteration: the
+// batched preconditioner's 2·nnz(L₀)·B, the Kronecker apply's MACs
+// and five length-n·B vector updates. The block factor must also fit
+// maxBlockFactorBytes.
+func (c handoffCounts) blockCheaper() bool {
+	b := float64(c.b)
+	if float64(c.blockLNNZ)*b*b*8 > maxBlockFactorBytes {
+		return false
+	}
+	r := float64(c.stepsLeft)
+	block := float64(c.blockFlops)*b*b*b + r*2*float64(c.blockLNNZ)*b*b
+	cg := r * float64(c.cgIters) * (2*float64(c.precondLNNZ)*b + float64(c.kronMACs) + 5*float64(c.n)*b)
+	return block < cg
+}
+
+// assembleBlock builds the block matrix G̃ + s·C̃ on the scalar union
+// pattern, the operator of the block ladder (nil cTerms: G̃ alone).
+// Only a handoff or a CG fault assembles one.
+func assembleBlock(pattern *sparse.Matrix, b int, gTerms, cTerms []Term, s float64) *factor.BlockMatrix {
+	m := factor.NewBlockMatrix(pattern, b)
+	for _, t := range gTerms {
+		m.AddTerm(t.Coupling, t.A)
+	}
+	for _, t := range cTerms {
+		m.AddTerm(t.Coupling.Clone().Scale(s), t.A)
+	}
+	return m
 }
 
 // unionScalarPattern returns the union sparsity pattern of every term's
@@ -211,4 +352,17 @@ func unionScalarPattern(sys *System) *sparse.Matrix {
 		add(t.A)
 	}
 	return u
+}
+
+// isIdentity reports whether m is exactly the identity matrix.
+func isIdentity(m *sparse.Matrix) bool {
+	if m.Rows != m.Cols || m.NNZ() != m.Rows {
+		return false
+	}
+	for j := 0; j < m.Cols; j++ {
+		if m.Colp[j+1] != j+1 || m.Rowi[j] != j || m.Val[j] != 1 {
+			return false
+		}
+	}
+	return true
 }

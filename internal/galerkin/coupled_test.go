@@ -1,0 +1,296 @@
+package galerkin
+
+import (
+	"math"
+	"testing"
+
+	"opera/internal/factor"
+	"opera/internal/grid"
+	"opera/internal/mna"
+	"opera/internal/netlist"
+	"opera/internal/numguard"
+	"opera/internal/obs"
+	"opera/internal/order"
+	"opera/internal/pce"
+)
+
+// blockDirect is the coupled path's test oracle: the block ladder
+// (block-cholesky → lu → cg+ic0) on the assembled G̃ for DC and
+// G̃ + C̃/h for the steps, stepped once per step with no CG at all —
+// the direct solve a handoff or a CG fault moves the window onto. It
+// returns every step's coefficient blocks.
+func blockDirect(t *testing.T, sys *System, opts Options) [][][]float64 {
+	t.Helper()
+	n, b := sys.N, sys.Basis.Size()
+	pattern := unionScalarPattern(sys)
+	perm := order.Permute(opts.Ordering, pattern)
+	comp := assembleBlock(pattern, b, sys.GTerms, sys.CTerms, 1/opts.Step)
+	gBM := assembleBlock(pattern, b, sys.GTerms, nil, 0)
+	cBM := assembleBlock(pattern, b, nil, sys.CTerms, 1)
+	lad := numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
+		blockRungs(comp, perm, opts.Guard, false, nil), nil)
+	dc := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
+		blockRungs(gBM, perm, opts.Guard, false, nil), nil)
+	x, rhs, cx := make([]float64, n*b), make([]float64, n*b), make([]float64, n*b)
+	blocks := alloc2(b, n)
+	load := func(tm float64) {
+		sys.RHS(tm, blocks)
+		for m := range blocks {
+			for i, v := range blocks[m] {
+				rhs[i*b+m] = v
+			}
+		}
+	}
+	snaps := make([][][]float64, opts.Steps+1)
+	snap := func(k int) {
+		snaps[k] = alloc2(b, n)
+		for m := range snaps[k] {
+			for i := range snaps[k][m] {
+				snaps[k][m][i] = x[i*b+m]
+			}
+		}
+	}
+	load(0)
+	if err := dc.Solve(0, x, rhs); err != nil {
+		t.Fatal(err)
+	}
+	snap(0)
+	for k := 1; k <= opts.Steps; k++ {
+		load(float64(k) * opts.Step)
+		cBM.MulVecSym(cx, x, 1)
+		for i := range rhs {
+			rhs[i] += cx[i] / opts.Step
+		}
+		if err := lad.Solve(k, x, rhs); err != nil {
+			t.Fatal(err)
+		}
+		snap(k)
+	}
+	return snaps
+}
+
+// snapMoments turns coefficient snapshots into per-step means and
+// variances.
+func snapMoments(snaps [][][]float64) (mean, variance [][]float64) {
+	mean = alloc2(len(snaps), len(snaps[0][0]))
+	variance = alloc2(len(snaps), len(snaps[0][0]))
+	for s, blocks := range snaps {
+		copy(mean[s], blocks[0])
+		for _, c := range blocks[1:] {
+			for i, v := range c {
+				variance[s][i] += v * v
+			}
+		}
+	}
+	return mean, variance
+}
+
+// excitedGrid is smallGrid with its pulse starting at t = 0, so step 1
+// already moves the state and prices the cost handoff.
+func excitedGrid(t *testing.T) *mna.System {
+	t.Helper()
+	nl := smallGrid()
+	nl.Sources[0].Wave.(*netlist.Pulse).Delay = 0
+	sys, err := mna.Build(nl, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// mediumSystem lifts a generated grid of about 270 nodes (five
+// 64-row Kronecker chunks) at order 2. A 20-step window at h = 1e-10
+// stays on CG; a 50-step one hands off to the block factor.
+func mediumSystem(t *testing.T) *System {
+	t.Helper()
+	nl, err := grid.Build(grid.DefaultSpec(300, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := mna.Build(nl, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gsys
+}
+
+// spanAttr returns attribute key of the first top-level span named
+// name in the tracer's dump.
+func spanAttr(tr *obs.Tracer, name, key string) string {
+	for _, sp := range tr.Dump().Spans {
+		if sp.Name == name {
+			return sp.Attrs[key]
+		}
+	}
+	return ""
+}
+
+func assertMomentsClose(t *testing.T, what string, mean, variance, refMean, refVar [][]float64) {
+	t.Helper()
+	if d := maxAbsDiff(mean, refMean); d > 1e-8 {
+		t.Errorf("%s: means off the block oracle by %g", what, d)
+	}
+	if d := maxAbsDiff(variance, refVar); d > 1e-10 {
+		t.Errorf("%s: variances off the block oracle by %g", what, d)
+	}
+}
+
+// TestLongWindowHandsOffToBlock runs a window long enough that the
+// counts after step 1 favor the block factor: the remaining steps run
+// there, the handoff is no fault (no transition, healthy report), the
+// result describes the block factor, and the answer matches the
+// direct oracle.
+func TestLongWindowHandsOffToBlock(t *testing.T) {
+	basis := pce.NewHermiteBasis(2, 2)
+	gsys, err := FromMNA(excitedGrid(t), basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Step: tStep, Steps: 40}
+	refMean, refVar := snapMoments(blockDirect(t, gsys, opts))
+	tr := obs.New("handoff")
+	opts.Obs = tr
+	snaps, res := collectCoeffs(t, gsys, opts)
+	mean, variance := snapMoments(snaps)
+
+	if res.Factorer != "block-cholesky" {
+		t.Fatalf("factorer %q, want the block-cholesky handoff", res.Factorer)
+	}
+	if got := spanAttr(tr, "transient", "handoff_step"); got != "2" {
+		t.Errorf("transient span handoff_step = %q, want 2", got)
+	}
+	rep := res.Guard()
+	if len(rep.Transitions) != 0 || !rep.Healthy() {
+		t.Errorf("a cost handoff is no fault: %s, transitions %v", rep.Summary(), rep.Transitions)
+	}
+	pattern := unionScalarPattern(gsys)
+	sym := factor.CholAnalyze(pattern, order.Permute(opts.Ordering, pattern))
+	b := basis.Size()
+	if want := sym.LNNZ() * b * b; res.FactorNNZ != want {
+		t.Errorf("factor nnz %d, want the block factor's %d", res.FactorNNZ, want)
+	}
+	if want := sym.FlopEstimate() * int64(b*b*b); res.FactorFlops != want {
+		t.Errorf("factor flops %d, want the block factor's %d", res.FactorFlops, want)
+	}
+	if res.CondEst <= 0 {
+		t.Errorf("no condition estimate of the block factor")
+	}
+	assertMomentsClose(t, "handoff", mean, variance, refMean, refVar)
+}
+
+// TestHandoffRule pins the cost rule as a pure function of its counts.
+func TestHandoffRule(t *testing.T) {
+	// A 2,570-node order-2 grid: the block factor's F·B³ is
+	// 541,932,768 (F = 2,508,948), its nnz(L) 49,802 per chaos pair.
+	base := handoffCounts{
+		n: 2570, b: 6, cgIters: 6,
+		precondLNNZ: 49802, blockLNNZ: 49802,
+		kronMACs: 200526, blockFlops: 2508948,
+	}
+	per := func(c handoffCounts) (block, cg float64) {
+		b := float64(c.b)
+		block = 2 * float64(c.blockLNNZ) * b * b
+		cg = float64(c.cgIters) * (2*float64(c.precondLNNZ)*b + float64(c.kronMACs) + 5*float64(c.n)*b)
+		return block, cg
+	}
+	blockStep, cgStep := per(base)
+	fixed := float64(base.blockFlops) * 216
+	if fixed != 541932768 {
+		t.Fatalf("F·B³ = %v", fixed)
+	}
+	// The window length where the block factor starts paying off.
+	even := fixed / (cgStep - blockStep)
+	if even < 20 || even > 399 {
+		t.Fatalf("break-even after %.0f steps; the cases below assume 20..399", even)
+	}
+	for _, tc := range []struct {
+		name string
+		mod  func(*handoffCounts)
+		want bool
+	}{
+		{"short window", func(c *handoffCounts) { c.stepsLeft = 19 }, false},
+		{"just short of break-even", func(c *handoffCounts) { c.stepsLeft = int(math.Floor(even)) }, false},
+		{"just past break-even", func(c *handoffCounts) { c.stepsLeft = int(math.Ceil(even)) }, true},
+		{"long window", func(c *handoffCounts) { c.stepsLeft = 399 }, true},
+		{"no steps left", func(c *handoffCounts) { c.stepsLeft = 0 }, false},
+		{"CG converged without iterating", func(c *handoffCounts) { c.stepsLeft, c.cgIters = 399, 0 }, false},
+		{"one iteration per step", func(c *handoffCounts) { c.stepsLeft, c.cgIters = 100000, 1 }, false},
+		// At B = 64 the values of nnz(L) = 131,072 fill exactly 4 GiB.
+		{"block factor at 4 GiB", func(c *handoffCounts) {
+			c.stepsLeft, c.b, c.cgIters = 100000, 64, 500
+			c.blockLNNZ = maxBlockFactorBytes / (8 * 64 * 64)
+		}, true},
+		{"block factor above 4 GiB", func(c *handoffCounts) {
+			c.stepsLeft, c.b, c.cgIters = 100000, 64, 500
+			c.blockLNNZ = maxBlockFactorBytes/(8*64*64) + 1
+		}, false},
+	} {
+		c := base
+		tc.mod(&c)
+		if got := c.blockCheaper(); got != tc.want {
+			t.Errorf("%s (%+v): blockCheaper = %v, want %v", tc.name, c, got, tc.want)
+		}
+	}
+}
+
+// TestKronApplyDeterminism checks the Kronecker-form operators against
+// the assembled block matrix expanded to CSC — MulVec to 1e-14 of
+// ‖y‖∞, normInf to 1e-14 relative — and that MulVec is bitwise
+// identical at every worker count. The system carries three non-identity
+// couplings (linear G, linear C and a quadratic G term).
+func TestKronApplyDeterminism(t *testing.T) {
+	gsys := mediumSystem(t)
+	basis := gsys.Basis
+	quad, err := basis.ProjectFunc(func(xi []float64) float64 { return xi[0]*xi[0] - 1 }, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsys.GTerms = append(gsys.GTerms, Term{Coupling: basis.CouplingExpansion(quad), A: gsys.GTerms[1].A.Clone().Scale(0.3)})
+	n, b := gsys.N, basis.Size()
+	pattern := unionScalarPattern(gsys)
+	x := make([]float64, n*b)
+	for i := range x {
+		x[i] = math.Sin(float64(i)) + 0.5
+	}
+	for _, tc := range []struct {
+		name   string
+		g, c   []Term
+		cScale float64
+	}{
+		{"G", gsys.GTerms, nil, 0},
+		{"C", nil, gsys.CTerms, 1},
+		{"G+C/h", gsys.GTerms, gsys.CTerms, 1 / 1e-10},
+	} {
+		ref := assembleBlock(pattern, b, tc.g, tc.c, tc.cScale)
+		want := make([]float64, n*b)
+		ref.ToCSC().MulVec(want, x)
+		scale := numguard.NormInf(want)
+		var first []float64
+		for _, w := range []int{1, 2, 3, 4, 7} {
+			op := newKronOp(n, b, w).add(tc.g, 1).add(tc.c, tc.cScale)
+			y := make([]float64, n*b)
+			op.MulVec(y, x)
+			if first == nil {
+				first = y
+				for i := range y {
+					if d := math.Abs(y[i] - want[i]); d > 1e-14*scale {
+						t.Fatalf("%s: y[%d] = %.17g, assembled %.17g", tc.name, i, y[i], want[i])
+					}
+				}
+				if got, want := op.normInf(), ref.NormInf(); math.Abs(got-want) > 1e-14*want {
+					t.Errorf("%s: normInf %.17g, assembled %.17g", tc.name, got, want)
+				}
+				continue
+			}
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("%s workers=%d: y[%d] = %.17g, 1 worker %.17g", tc.name, w, i, y[i], first[i])
+				}
+			}
+		}
+	}
+}

@@ -17,10 +17,13 @@ import (
 
 // The tests in this file drive the numguard escalation ladder through
 // every transition deterministically, via the fault-injection hooks:
-// refinement recovery, Cholesky→LU escalation, mid-transient NaN step
-// retry, and full-ladder exhaustion. Each asserts the hard invariant
-// that no injected fault ever yields NaN/Inf chaos coefficients
-// without an accompanying error.
+// the coupled CG path's true-residual check and its escalation to the
+// block ladder, refinement recovery, Cholesky→LU escalation,
+// mid-transient NaN step retry, and full-ladder exhaustion. The
+// block-rung faults first force the CG → block escalation with a NaN
+// in one CG solve. Each asserts the hard invariant that no injected
+// fault ever yields NaN/Inf chaos coefficients without an
+// accompanying error.
 
 // TestLadderShapes pins one Cholesky rung per ladder, the kernel the
 // matrix shape implies, followed by LU and CG; forceLU drops it.
@@ -105,6 +108,7 @@ func TestInjectDriftRecoveredByRefinement(t *testing.T) {
 	refMean, refVar, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
+		SolveNaN:   map[int]string{1: "cg+mean-precond"},
 		SolveDrift: map[string]float64{"block-cholesky": 1e-3},
 	})
 	t.Cleanup(restore)
@@ -112,16 +116,17 @@ func TestInjectDriftRecoveredByRefinement(t *testing.T) {
 
 	// A 1e-3 consistent drift is far above the 1e-8 residual tolerance
 	// but well within refinement reach (the error contracts by ~1e-3 per
-	// sweep), so the run must stay on the first rung and refine.
-	if res.Factorer != "block-cholesky" {
-		t.Errorf("drift must not escalate, got factorer %q", res.Factorer)
+	// sweep), so the run must stay on the block ladder's first rung and
+	// refine.
+	if res.Factorer != "cg+mean-precond→block-cholesky" {
+		t.Errorf("drift must not escalate past block-cholesky, got factorer %q", res.Factorer)
 	}
 	rep := res.Guard()
 	if rep == nil || rep.Refinements == 0 || rep.RefinedSolves == 0 {
 		t.Fatalf("refinement not engaged: %+v", rep)
 	}
-	if len(rep.Transitions) != 0 {
-		t.Errorf("unexpected transitions: %+v", rep.Transitions)
+	if len(rep.Transitions) != 1 || rep.Transitions[0].From != "cg+mean-precond" {
+		t.Errorf("want only the forced CG escalation, got %+v", rep.Transitions)
 	}
 	if d := maxAbsDiff(mean, refMean); d > 1e-6 {
 		t.Errorf("refined means off by %g", d)
@@ -140,20 +145,24 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 	refMean, _, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
+		SolveNaN:    map[int]string{1: "cg+mean-precond"},
 		FailPrepare: map[string]int{"block-cholesky": -1},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 2, opts)
 
-	if res.Factorer != "lu" {
-		t.Errorf("factorer %q, want lu", res.Factorer)
+	if res.Factorer != "cg+mean-precond→lu" {
+		t.Errorf("factorer %q, want cg+mean-precond→lu", res.Factorer)
 	}
 	rep := res.Guard()
-	if rep == nil || len(rep.Transitions) < 1 {
-		t.Fatalf("expected a block-cholesky→lu transition, got %+v", rep)
+	if rep == nil || len(rep.Transitions) != 2 {
+		t.Fatalf("expected cg+mean-precond→block-cholesky→lu, got %+v", rep)
 	}
-	if tr := rep.Transitions[0]; tr.From != "block-cholesky" || tr.To != "lu" {
-		t.Errorf("transition %+v, want block-cholesky→lu", tr)
+	if tr := rep.Transitions[0]; tr.From != "cg+mean-precond" || tr.To != "block-cholesky" || tr.Step != 1 {
+		t.Errorf("transition %+v, want cg+mean-precond→block-cholesky at step 1", tr)
+	}
+	if tr := rep.Transitions[1]; tr.From != "block-cholesky" || tr.To != "lu" || tr.Step != 1 {
+		t.Errorf("transition %+v, want block-cholesky→lu at step 1", tr)
 	}
 	if d := maxAbsDiff(mean, refMean); d > 1e-8 {
 		t.Errorf("LU-rung means off by %g", d)
@@ -169,17 +178,17 @@ func TestInjectNaNMidTransientRetriesStep(t *testing.T) {
 	refMean, _, _ := guardedRun(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
-		SolveNaN: map[int]string{5: "block-cholesky"},
+		SolveNaN: map[int]string{2: "cg+mean-precond", 5: "block-cholesky"},
 	})
 	t.Cleanup(restore)
 	mean, _, res := guardedRun(t, sys, 2, opts)
 
 	rep := res.Guard()
-	if rep == nil || rep.NaNEvents != 1 {
-		t.Fatalf("NaN event not recorded: %+v", rep)
+	if rep == nil || rep.NaNEvents != 2 {
+		t.Fatalf("NaN events not recorded (want the CG one and the block one): %+v", rep)
 	}
-	if rep.StepRetries < 1 {
-		t.Errorf("step 5 was not retried: %+v", rep)
+	if rep.StepRetries < 2 {
+		t.Errorf("steps 2 and 5 were not retried: %+v", rep)
 	}
 	found := false
 	for _, tr := range rep.Transitions {
@@ -242,7 +251,7 @@ func TestInjectNaNNeverEscapesWithoutError(t *testing.T) {
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN:    map[int]string{3: ""},
-		FailPrepare: map[string]int{"lu": -1, "cg+ic0": -1},
+		FailPrepare: map[string]int{"block-cholesky": -1, "lu": -1, "cg+ic0": -1},
 	})
 	t.Cleanup(restore)
 	_, err = Solve(gsys, Options{Step: tStep, Steps: 10}, func(step int, _ float64, coeffs [][]float64) {
@@ -305,8 +314,8 @@ func TestInjectDecoupledPathEscalates(t *testing.T) {
 }
 
 func TestInjectIterativePathEscalatesToDirect(t *testing.T) {
-	// A NaN injected into the §5.2 CG path mid-transient must hand the
-	// step to the direct block ladder and keep the rest of the run there.
+	// A NaN injected into the coupled CG solve mid-transient must hand
+	// the step to the block ladder and keep the rest of the run there.
 	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -318,9 +327,7 @@ func TestInjectIterativePathEscalatesToDirect(t *testing.T) {
 		SolveNaN: map[int]string{4: "cg+mean-precond"},
 	})
 	t.Cleanup(restore)
-	itOpts := opts
-	itOpts.Iterative = true
-	mean, _, res := guardedRun(t, sys, 2, itOpts)
+	mean, _, res := guardedRun(t, sys, 2, opts)
 
 	if !strings.HasPrefix(res.Factorer, "cg+mean-precond→") {
 		t.Errorf("factorer %q does not record the escalation", res.Factorer)
@@ -341,4 +348,45 @@ func TestInjectIterativePathEscalatesToDirect(t *testing.T) {
 	if d := maxAbsDiff(mean, refMean); d > 1e-7 {
 		t.Errorf("escalated iterative means off by %g", d)
 	}
+}
+
+// TestInjectDriftFailsTrueResidual is the true-residual contract: CG
+// answers drifted by 1e-3 still report a recurrence residual below
+// tolerance, so only the true scaled residual catches them. The DC
+// solve, always verified, fails it and hands the window to the block
+// ladder, whose answers match the direct oracle.
+func TestInjectDriftFailsTrueResidual(t *testing.T) {
+	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Step: tStep, Steps: 10}
+	refMean, refVar := snapMoments(blockDirect(t, gsys, opts))
+
+	restore := inject.Enable(&inject.Faults{
+		SolveDrift: map[string]float64{"cg+mean-precond": 1e-3},
+	})
+	t.Cleanup(restore)
+	snaps, res := collectCoeffs(t, gsys, opts)
+
+	if res.Factorer != "cg+mean-precond→block-cholesky" {
+		t.Errorf("factorer %q, want the escalation to block-cholesky", res.Factorer)
+	}
+	rep := res.Guard()
+	if len(rep.Transitions) != 1 {
+		t.Fatalf("want one CG escalation, got %+v", rep.Transitions)
+	}
+	if tr := rep.Transitions[0]; tr.From != "cg+mean-precond" || tr.To != "block-cholesky" ||
+		tr.Step != 0 || !strings.Contains(tr.Reason, "true residual") {
+		t.Errorf("transition %+v, want the DC solve's true residual to fail", tr)
+	}
+	if rep.Healthy() || rep.MaxResidual > 1e-8 {
+		t.Errorf("report %s: the drift must show, and every accepted residual must meet tolerance", rep.Summary())
+	}
+	mean, variance := snapMoments(snaps)
+	assertMomentsClose(t, "drifted CG", mean, variance, refMean, refVar)
 }

@@ -230,31 +230,35 @@ func TestDecoupledSkipsUnexcitedColumns(t *testing.T) {
 }
 
 // TestCoupledParallelDeterminism checks the same contract on the
-// coupled path, whose parallel surface is the row-partitioned block
-// apply C̃·x.
+// coupled path, whose parallel surfaces are the Kronecker apply's
+// 64-row chunks and the preconditioner's column ranges — for a window
+// CG serves to the end and for one that hands off to the block factor
+// (the decision is made from counts alone, so it agrees too).
 func TestCoupledParallelDeterminism(t *testing.T) {
-	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{Step: tStep, Steps: 10, ForceCoupled: true}
-	var ref [][][]float64
-	for _, w := range []int{1, 2, 4} {
-		opts := base
-		opts.Workers = w
-		snaps, res := collectCoeffs(t, gsys, opts)
-		if res.Decoupled {
-			t.Fatalf("workers=%d: expected the coupled path", w)
+	gsys := mediumSystem(t)
+	for _, tc := range []struct {
+		steps    int
+		factorer string
+	}{
+		{20, "cg+mean-precond"},
+		{50, "block-cholesky"},
+	} {
+		base := Options{Step: 1e-10, Steps: tc.steps}
+		var ref [][][]float64
+		// 3 and 7 split the six chaos columns unevenly (7 exceeds them).
+		for _, w := range []int{1, 2, 3, 4, 7} {
+			opts := base
+			opts.Workers = w
+			snaps, res := collectCoeffs(t, gsys, opts)
+			if res.Factorer != tc.factorer {
+				t.Fatalf("%d steps, workers=%d: factorer %q, want %q", tc.steps, w, res.Factorer, tc.factorer)
+			}
+			if ref == nil {
+				ref = snaps
+				continue
+			}
+			assertIdenticalCoeffs(t, ref, snaps, w)
 		}
-		if ref == nil {
-			ref = snaps
-			continue
-		}
-		assertIdenticalCoeffs(t, ref, snaps, w)
 	}
 }
 

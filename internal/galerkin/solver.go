@@ -23,22 +23,17 @@ type Options struct {
 	// ForceCoupled disables the automatic decoupled fast path (used by
 	// the ablation benchmarks to measure its benefit).
 	ForceCoupled bool
-	// ForceLU skips the Cholesky attempt (the augmented Galerkin matrix
-	// is SPD for realistic variation magnitudes; LU covers the rest).
+	// ForceLU skips every Cholesky attempt: the scalar ladders (the
+	// decoupled path, the coupled preconditioners) and the coupled
+	// block ladder all start at LU. The augmented Galerkin matrix is
+	// SPD for realistic variation magnitudes; LU covers the rest.
 	ForceLU bool
-	// Iterative selects the §5.2 mean-preconditioned conjugate gradient
-	// path instead of the direct block factorization.
-	Iterative bool
 	// Workers caps the worker pool of the decoupled fast path's
-	// column chunks (one batched solve per worker) and the coupled
-	// paths' row-parallel block apply; 0 or negative means GOMAXPROCS.
-	// Results are bit-identical for every value.
+	// column chunks and of the coupled path's Kronecker apply and
+	// preconditioner column ranges (one batched solve per worker); 0
+	// or negative means GOMAXPROCS. Results are bit-identical for
+	// every value.
 	Workers int
-	// MemoryBudget caps the block factor's value storage in bytes; when
-	// the symbolic analysis predicts a larger factor, the solver
-	// switches to the iterative path automatically (its memory is the
-	// scalar factor's). 0 means 4 GiB; negative disables the check.
-	MemoryBudget int64
 	// Guard tunes the numerical-robustness layer (residual tolerance,
 	// refinement caps, verification cadence). The zero value uses the
 	// numguard defaults; the guard cannot be disabled.
@@ -77,14 +72,19 @@ func (o Options) Validate() error {
 // facts of the solve plus the guard report accessor.
 type Result struct {
 	Decoupled bool
-	// Factorer names the ladder rung that served the solve: the
-	// Cholesky rung ("block-cholesky" coupled, "supernodal" decoupled),
-	// "lu" or "cg+ic0" after an escalation, or "cg+mean-precond" on the
-	// §5.2 iterative path ("cg+mean-precond→<rung>" once it escalated).
+	// Factorer names what served the solve. Coupled: "cg+mean-precond"
+	// (CG on the augmented system), the block ladder's rung
+	// ("block-cholesky", "lu" under ForceLU) after a cost handoff, or
+	// "cg+mean-precond→<rung>" after a CG fault escalated to it.
+	// Decoupled: the scalar ladder's rung ("supernodal", "lu" or
+	// "cg+ic0").
 	Factorer   string
 	AugmentedN int // size of the augmented system
-	FactorNNZ  int // scalar-equivalent nnz of the factor (0 on the pure-CG rung)
-	StepsRun   int
+	// FactorNNZ is the scalar-equivalent nnz of the factor the steps
+	// ran on: the mean preconditioner's while CG serves, the block
+	// factor's after a handoff or escalation (0 on the pure-CG rung).
+	FactorNNZ int
+	StepsRun  int
 
 	// FactorFlops is the symbolic flop estimate of one numeric
 	// factorization on the rung that served the solve; FillRatio is its
@@ -119,9 +119,6 @@ func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][
 	}
 	if sys.RHSOnly() && !opts.ForceCoupled {
 		return solveDecoupled(sys, opts, visit)
-	}
-	if opts.Iterative {
-		return solveCoupledIterative(sys, opts, visit)
 	}
 	return solveCoupled(sys, opts, visit)
 }

@@ -3,7 +3,8 @@
 // conjugate gradients with Jacobi or zero-fill incomplete Cholesky
 // preconditioning. The paper (§5.2) identifies preconditioned iterative
 // block solvers as one route to scaling OPERA; this package supplies
-// that route and the solver ablation benchmarks use it.
+// that route: the coupled Galerkin solve runs CG on the augmented
+// system.
 package iterative
 
 import (
@@ -83,13 +84,33 @@ type CGOptions struct {
 // CGResult reports convergence information.
 type CGResult struct {
 	Iterations int
-	Residual   float64 // final relative residual ‖b−Ax‖₂/‖b‖₂
+	// Residual is the final recurrence residual ‖r_k‖₂/‖b‖₂: r_k is
+	// updated as r ← r − α·A·p, never recomputed as b − A·x, and in
+	// floating point it drifts from the true residual (and a corrupted
+	// x never shows in it). It is therefore no backward-error
+	// guarantee; a caller that needs one computes ‖b − A·x‖ itself, as
+	// the coupled Galerkin path does on its verification cadence.
+	Residual float64
+}
+
+// CGWork is caller-owned CG scratch: the residual, preconditioned
+// residual, search direction and A·p vectors. Reusing one across the
+// solves of a transient (one size, many right-hand sides) makes CG
+// allocation-free. The zero value is ready to use; it grows on first
+// use and must not be shared by concurrent solves.
+type CGWork struct {
+	r, z, p, ap []float64
 }
 
 // CG solves A·x = b for an SPD operator with preconditioned conjugate
 // gradients. x is used as the starting guess and overwritten with the
-// solution.
+// solution. It allocates its scratch per call; CGWork.CG reuses it.
 func CG(a Operator, x, b []float64, opt CGOptions) (CGResult, error) {
+	return new(CGWork).CG(a, x, b, opt)
+}
+
+// CG is the package-level CG running in w's vectors.
+func (w *CGWork) CG(a Operator, x, b []float64, opt CGOptions) (CGResult, error) {
 	n := len(b)
 	if len(x) != n {
 		return CGResult{}, fmt.Errorf("iterative: CG shapes x %d, b %d", len(x), len(b))
@@ -103,10 +124,10 @@ func CG(a Operator, x, b []float64, opt CGOptions) (CGResult, error) {
 	if opt.M == nil {
 		opt.M = Identity{}
 	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
+	if cap(w.r) < n {
+		w.r, w.z, w.p, w.ap = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	r, z, p, ap := w.r[:n], w.z[:n], w.p[:n], w.ap[:n]
 	a.MulVec(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]

@@ -235,14 +235,17 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		if berr != nil {
 			return Row{}, berr
 		}
+		// A private tracer counts this row's CG iterations alone.
+		tr := obs.New("bench." + sc.Name)
 		var res *core.Result
 		res, err = core.Analyze(sys, core.Options{
 			Order: sc.Order, Step: step, Steps: sc.Steps,
-			Ordering: ord, ForceCoupled: true, Workers: opts.Workers,
+			Ordering: ord, ForceCoupled: true, Workers: opts.Workers, Obs: tr,
 		})
 		if err == nil {
 			row.N = res.Galerkin.AugmentedN
 			row.fromGalerkin(res.Galerkin)
+			row.CGIterations = int(tr.Registry().Counter("galerkin.cg_iterations_total").Value())
 		}
 	case "factor":
 		sys, berr := mna.Build(nl, mna.DefaultSpec())

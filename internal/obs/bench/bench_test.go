@@ -71,6 +71,9 @@ func TestRunAllPaths(t *testing.T) {
 				t.Errorf("%s: empty rung", r.Name)
 			}
 		}
+		if r.Path == "coupled" && r.CGIterations <= 0 {
+			t.Errorf("%s: cg_iterations = %d, want > 0", r.Name, r.CGIterations)
+		}
 	}
 }
 
@@ -150,6 +153,21 @@ func TestCompareDeterministicRegressionFails(t *testing.T) {
 	}
 	if !strings.Contains(md.String(), "FAIL") {
 		t.Fatalf("markdown missing FAIL flag:\n%s", md.String())
+	}
+}
+
+// TestCompareCGIterationsExact gates CG iterations like escalations:
+// one more iteration fails, one fewer passes.
+func TestCompareCGIterationsExact(t *testing.T) {
+	base := syntheticReport()
+	base.Rows[0].CGIterations = 40
+	more, fewer := syntheticReport(), syntheticReport()
+	more.Rows[0].CGIterations, fewer.Rows[0].CGIterations = 41, 39
+	if rc := Compare(base, more, nil).ExitCode(); rc != 2 {
+		t.Errorf("41 vs 40 CG iterations: exit %d, want 2", rc)
+	}
+	if rc := Compare(base, fewer, nil).ExitCode(); rc != 0 {
+		t.Errorf("39 vs 40 CG iterations: exit %d, want 0", rc)
 	}
 }
 

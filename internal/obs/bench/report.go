@@ -33,8 +33,9 @@ type Report struct {
 
 // Row is one scenario's measurements. Wall, alloc and RSS are
 // machine-dependent (soft thresholds with noise floors); flops, fill,
-// nnz and escalations are deterministic functions of the input and the
-// code, so any regression there is a real algorithmic change (hard).
+// nnz, escalations and CG iterations are deterministic functions of the
+// input and the code, so any regression there is a real algorithmic
+// change (hard).
 type Row struct {
 	Name     string `json:"name"`
 	Path     string `json:"path"`
@@ -57,6 +58,9 @@ type Row struct {
 	CondEst     float64 `json:"cond_est,omitempty"`
 	MaxResidual float64 `json:"max_residual,omitempty"`
 	Escalations int     `json:"escalations,omitempty"`
+	// CGIterations counts the coupled solve's CG iterations (coupled
+	// rows only).
+	CGIterations int `json:"cg_iterations,omitempty"`
 }
 
 // NewReport builds an empty report with the current platform header.
@@ -128,9 +132,10 @@ type Threshold struct {
 // DefaultThresholds is the per-metric policy the CI gate uses.
 // Machine-dependent metrics (wall, alloc) warn at 1.3x and fail past
 // 2x, with noise floors sized for shared runners. Deterministic
-// metrics (flops, fill, nnz, escalations) fail on any growth beyond
-// rounding — Soft == Hard, so there is no warn band. Peak RSS is
-// process-monotone across rows and therefore informational only.
+// metrics (flops, fill, nnz, escalations, CG iterations) fail on any
+// growth beyond rounding — Soft == Hard, so there is no warn band.
+// Peak RSS is process-monotone across rows and therefore
+// informational only.
 func DefaultThresholds() map[string]Threshold {
 	return map[string]Threshold{
 		"wall_ms": {Soft: 1.3, Hard: 2.0, Floor: 20},
@@ -140,17 +145,18 @@ func DefaultThresholds() map[string]Threshold {
 		// ignores rows below 16 MiB and the bands are wide; a real alloc
 		// regression (a dropped pool, a per-step allocation) shows up as
 		// a multiple, not a percentage.
-		"alloc_bytes":  {Soft: 1.5, Hard: 3.0, Floor: 16 << 20},
-		"factor_flops": {Soft: 1.01, Hard: 1.01},
-		"fill_ratio":   {Soft: 1.01, Hard: 1.01},
-		"factor_nnz":   {Soft: 1.01, Hard: 1.01},
-		"escalations":  {Soft: 1.0, Hard: 1.0},
+		"alloc_bytes":   {Soft: 1.5, Hard: 3.0, Floor: 16 << 20},
+		"factor_flops":  {Soft: 1.01, Hard: 1.01},
+		"fill_ratio":    {Soft: 1.01, Hard: 1.01},
+		"factor_nnz":    {Soft: 1.01, Hard: 1.01},
+		"escalations":   {Soft: 1.0, Hard: 1.0},
+		"cg_iterations": {Soft: 1.0, Hard: 1.0},
 	}
 }
 
 // comparedMetrics fixes the metric order in the delta table.
 var comparedMetrics = []string{
-	"wall_ms", "alloc_bytes", "factor_flops", "fill_ratio", "factor_nnz", "escalations",
+	"wall_ms", "alloc_bytes", "factor_flops", "fill_ratio", "factor_nnz", "escalations", "cg_iterations",
 }
 
 func (r Row) metric(name string) float64 {
@@ -167,6 +173,8 @@ func (r Row) metric(name string) float64 {
 		return float64(r.FactorNNZ)
 	case "escalations":
 		return float64(r.Escalations)
+	case "cg_iterations":
+		return float64(r.CGIterations)
 	default:
 		return 0
 	}

@@ -56,7 +56,6 @@ type Request struct {
 	TrackNodes   []int   `json:"track_nodes,omitempty"`
 	ForceCoupled bool    `json:"force_coupled,omitempty"`
 	ForceLU      bool    `json:"force_lu,omitempty"`
-	Iterative    bool    `json:"iterative,omitempty"`
 
 	// Monte Carlo parameters (Analysis == "mc").
 	Samples int   `json:"samples,omitempty"`
@@ -195,7 +194,6 @@ type cacheKeyPayload struct {
 	TrackNodes   []int              `json:"track_nodes,omitempty"`
 	ForceCoupled bool               `json:"force_coupled"`
 	ForceLU      bool               `json:"force_lu"`
-	Iterative    bool               `json:"iterative"`
 	Samples      int                `json:"samples"`
 	Seed         int64              `json:"seed"`
 	Regions      int                `json:"regions"`
@@ -220,7 +218,6 @@ func (r *Request) Key() string {
 		TrackNodes:   r.TrackNodes,
 		ForceCoupled: r.ForceCoupled,
 		ForceLU:      r.ForceLU,
-		Iterative:    r.Iterative,
 		Samples:      r.Samples,
 		Seed:         r.Seed,
 		Regions:      r.Regions,

@@ -1127,7 +1127,7 @@ func (s *Server) execute(j *job) ([]byte, error) {
 			Order: req.Order, Step: req.Step, Steps: req.Steps,
 			Variation: req.Variation, Ordering: ordering,
 			TrackNodes: req.TrackNodes, ForceCoupled: req.ForceCoupled,
-			ForceLU: req.ForceLU, Iterative: req.Iterative,
+			ForceLU: req.ForceLU,
 			Workers: workers, Obs: tr, Progress: j.progress, Ctx: j.ctx,
 		})
 		if err != nil {
