@@ -9,6 +9,7 @@ import (
 
 	"opera/internal/cancel"
 	"opera/internal/mna"
+	"opera/internal/obs"
 	"opera/internal/pce"
 )
 
@@ -40,29 +41,44 @@ func cancelTestSystem(t *testing.T, rhsOnly bool) *System {
 	return gsys
 }
 
-// TestSolveCancelAllPaths cancels each of the two solve paths from
-// inside the visit callback and checks every one stops within a step
-// with the structured error, leaks no worker goroutines, and leaves
-// the system solvable again (factors and the numguard ladder are not
-// poisoned by the abort).
+// TestSolveCancelAllPaths cancels each way a solve steps from inside
+// the visit callback: the decoupled path, the coupled path on its
+// block factor after a cost handoff, and the coupled path while CG
+// still serves. It checks every one stops within a step with the
+// structured error, leaks no worker goroutines, and leaves the system
+// solvable again (factors and the numguard ladder are not poisoned by
+// the abort).
 func TestSolveCancelAllPaths(t *testing.T) {
+	// The excited grid's pulse starts at t = 0, so the 200-step window
+	// hands off to the block factor after step 1; the small grid's
+	// steps 1–4 are quiet and CG serves them without a handoff.
+	excited := func(t *testing.T) *System {
+		gsys, err := FromMNA(excitedGrid(t), pce.NewHermiteBasis(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gsys
+	}
 	cases := []struct {
 		name    string
 		stage   string
-		rhsOnly bool
+		sys     func(*testing.T) *System
 		opts    Options
+		handoff bool // the cancel lands on the block factor
 	}{
-		{"decoupled", "galerkin.decoupled", true, Options{}},
-		{"coupled", "galerkin.coupled", false, Options{ForceCoupled: true}},
+		{"decoupled", "galerkin.decoupled", func(t *testing.T) *System { return cancelTestSystem(t, true) }, Options{}, false},
+		{"coupled", "galerkin.coupled", excited, Options{ForceCoupled: true}, true},
+		{"iterative", "galerkin.coupled", func(t *testing.T) *System { return cancelTestSystem(t, false) }, Options{ForceCoupled: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gsys := cancelTestSystem(t, tc.rhsOnly)
+			gsys := tc.sys(t)
 			base := runtime.NumGoroutine()
 			ctx, stop := context.WithCancel(context.Background())
 			defer stop()
+			tr := obs.New("cancel")
 			opts := tc.opts
-			opts.Step, opts.Steps, opts.Ctx, opts.Workers = tStep, 200, ctx, 4
+			opts.Step, opts.Steps, opts.Ctx, opts.Workers, opts.Obs = tStep, 200, ctx, 4, tr
 			last := -1
 			_, err := Solve(gsys, opts, func(step int, _ float64, _ [][]float64) {
 				last = step
@@ -79,6 +95,9 @@ func TestSolveCancelAllPaths(t *testing.T) {
 			}
 			if last > 3 {
 				t.Errorf("solve continued to step %d after cancel at step 2", last)
+			}
+			if got := spanAttr(tr, "transient", "handoff_step") != ""; got != tc.handoff {
+				t.Errorf("handed off to the block factor before the cancel: %v, want %v", got, tc.handoff)
 			}
 			waitForGoroutines(t, base)
 
