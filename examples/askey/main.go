@@ -76,7 +76,7 @@ func main() {
 	for k := 0; k < samples; k++ {
 		xiG := 2*rng.Float64() - 1
 		xiL := 2*rng.Float64() - 1
-		g, c, rhs := uniSys.Realize(xiG, xiL)
+		g, c, rhs := uniSys.Realize([]float64{xiG, xiL})
 		st, err := transient.NewStepper(g, c, transient.Options{
 			Step: opts.Step, Steps: opts.Steps, Symbolic: sym, ReuseFactor: reuse,
 		})

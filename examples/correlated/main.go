@@ -16,10 +16,8 @@ import (
 	"math"
 
 	"opera/internal/core"
-	"opera/internal/galerkin"
 	"opera/internal/grid"
 	"opera/internal/mna"
-	"opera/internal/pce"
 )
 
 func main() {
@@ -28,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sW, sT, sL := 0.20/3, 0.15/3, 0.20/3
-	opts := galerkin.Options{Step: 1e-10, Steps: 20}
+	opts := core.Options{Order: 2, Step: 1e-10, Steps: 20}
 
 	fmt.Printf("grid: %s\n", nl.Stats())
 	fmt.Println("worst-node σ under W/T correlation (order-2 expansion):")
@@ -44,26 +42,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		basis := pce.NewHermiteBasis(3, 2)
-		gsys, err := galerkin.FromCorrelated(sys, basis)
+		res, err := core.Analyze(sys, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		worst := 0.0
-		if _, err := galerkin.Solve(gsys, opts, func(step int, _ float64, coeffs [][]float64) {
-			for i := 0; i < sys.N; i++ {
-				v := 0.0
-				for m := 1; m < basis.Size(); m++ {
-					v += coeffs[m][i] * coeffs[m][i]
-				}
-				if v > worst {
-					worst = v
-				}
-			}
-		}); err != nil {
-			log.Fatal(err)
-		}
-		sd := math.Sqrt(worst)
+		sd := res.MaxStd()
 		if rho == 0 {
 			sigma0 = sd
 		}
@@ -78,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Analyze(comb, core.Options{Order: 2, Step: 1e-10, Steps: 20})
+	res, err := core.Analyze(comb, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,12 +19,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
-	"opera/internal/galerkin"
+	"opera/internal/core"
 	"opera/internal/grid"
 	"opera/internal/mna"
-	"opera/internal/pce"
 )
 
 func main() {
@@ -50,27 +48,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		basis := pce.NewHermiteBasis(sys.Dims, 2)
-		gsys, err := galerkin.FromSpatial(sys, basis)
-		if err != nil {
-			log.Fatal(err)
-		}
 		// With up to 10 chaos dimensions the basis reaches 66 functions;
 		// the coupled solve's CG (one scalar factorization, a few
 		// iterations per step) keeps that block size affordable.
-		worst := 0.0
-		_, err = galerkin.Solve(gsys, galerkin.Options{Step: 1e-10, Steps: 20},
-			func(step int, _ float64, coeffs [][]float64) {
-				for i := 0; i < sys.N; i++ {
-					v := 0.0
-					for m := 1; m < basis.Size(); m++ {
-						v += coeffs[m][i] * coeffs[m][i]
-					}
-					if v > worst {
-						worst = v
-					}
-				}
-			})
+		res, err := core.Analyze(sys, core.Options{Order: 2, Step: 1e-10, Steps: 20})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +59,8 @@ func main() {
 		if corr >= 1000 {
 			label = "inf (inter-die)"
 		}
-		fmt.Printf("%-22s  %d+%d        %.5g\n", label, sys.DimsG, sys.DimsL, math.Sqrt(worst))
+		// The builder keeps as many Leff components as geometry ones.
+		fmt.Printf("%-22s  %d+%d        %.5g\n", label, sys.Dims()/2, sys.Dims()/2, res.MaxStd())
 	}
 	fmt.Println("\nShorter correlation lengths average out regional fluctuations;")
 	fmt.Println("the fully correlated limit reproduces the paper's inter-die numbers.")

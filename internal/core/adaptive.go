@@ -70,14 +70,7 @@ func AnalyzeAdaptive(sys *mna.System, opts AdaptiveOptions) (*AdaptiveResult, er
 		if err != nil {
 			return nil, fmt.Errorf("core: adaptive order %d: %w", p, err)
 		}
-		maxStd := 0.0
-		for s := range res.Variance {
-			for _, v := range res.Variance[s] {
-				if sd := math.Sqrt(v); sd > maxStd {
-					maxStd = sd
-				}
-			}
-		}
+		maxStd := res.MaxStd()
 		rel := math.NaN()
 		if !math.IsNaN(prevMax) && prevMax > 0 {
 			rel = math.Abs(maxStd-prevMax) / prevMax

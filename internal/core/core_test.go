@@ -375,58 +375,133 @@ func TestAnalyzeReducedValidation(t *testing.T) {
 	}
 }
 
-func TestModelFacades(t *testing.T) {
+// TestEveryModelThroughAnalyze runs each builder's system through the
+// one Analyze entry point.
+func TestEveryModelThroughAnalyze(t *testing.T) {
 	_, nl := testSystem(t, 200, 83)
 	opts := Options{Order: 2, Step: 1e-10, Steps: 8}
+	analyze := func(sys *mna.System, err error) *Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
-	three, err := AnalyzeThreeVar(nl, mna.DefaultThreeVarSpec(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	three := analyze(mna.BuildThreeVar(nl, mna.DefaultThreeVarSpec()))
 	// Eq. 14: the combined model gives identical moments.
-	sys, err := mna.Build(nl, mna.DefaultThreeVarSpec().Combine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := Analyze(sys, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comb := analyze(mna.Build(nl, mna.DefaultThreeVarSpec().Combine()))
 	for s := range comb.Mean {
 		for i := range comb.Mean[s] {
 			if d := math.Abs(comb.Mean[s][i] - three.Mean[s][i]); d > 1e-9 {
-				t.Fatalf("three-var facade mean mismatch %g", d)
+				t.Fatalf("three-var model mean mismatch %g", d)
 			}
 		}
 	}
 
 	k := 0.25 / 3
 	cov := [][]float64{{k * k, 0, 0}, {0, 1e-6, 0}, {0, 0, 1e-6}}
-	corr, err := AnalyzeCorrelated(nl, cov, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	corr := analyze(mna.BuildCorrelated(nl, cov))
 	if corr.N != comb.N {
-		t.Fatal("correlated facade size mismatch")
+		t.Fatal("correlated model size mismatch")
 	}
 
-	spatial, err := AnalyzeSpatial(nl, mna.SpatialSpec{
+	spatial := analyze(mna.BuildSpatial(nl, mna.SpatialSpec{
 		RegionsPerAxis: 2, KG: k, KCL: 0.2 / 3, KIL: 0.2 / 3,
 		CorrLength: 1, MaxDims: 2,
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	for s := range spatial.Mean {
 		for i := range spatial.Mean[s] {
 			v := spatial.Mean[s][i]
 			if v <= 0 || v > spatial.VDD+1e-9 {
-				t.Fatalf("spatial facade unphysical mean %g", v)
+				t.Fatalf("spatial model unphysical mean %g", v)
 			}
 			if spatial.Variance[s][i] < 0 {
 				t.Fatal("negative variance")
 			}
 		}
+	}
+
+	// A basis family per variable: the spatial system has four.
+	opts.Families = uniformFamilies()
+	sys, err := mna.BuildSpatial(nl, mna.SpatialSpec{
+		RegionsPerAxis: 2, KG: k, KCL: 0.2 / 3, KIL: 0.2 / 3,
+		CorrLength: 1, MaxDims: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(sys, opts); err == nil {
+		t.Error("two families accepted for a four-variable system")
+	}
+}
+
+// TestOtherModelsAgainstMonteCarlo gives the three-variable, correlated
+// and spatial models the Monte Carlo reference the two-variable model
+// has in TestAnalyzeAgainstMonteCarlo, with the same thresholds.
+func TestOtherModelsAgainstMonteCarlo(t *testing.T) {
+	_, nl := testSystem(t, 300, 17)
+	opts := defaultOpts()
+	sW, sT, sL := 0.20/3, 0.15/3, 0.20/3
+	rho := 0.6
+	cov := [][]float64{
+		{sW * sW, rho * sW * sT, 0},
+		{rho * sW * sT, sT * sT, 0},
+		{0, 0, sL * sL},
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*mna.System, error)
+	}{
+		{"three-variable", func() (*mna.System, error) { return mna.BuildThreeVar(nl, mna.DefaultThreeVarSpec()) }},
+		{"correlated", func() (*mna.System, error) { return mna.BuildCorrelated(nl, cov) }},
+		{"spatial", func() (*mna.System, error) {
+			return mna.BuildSpatial(nl, mna.SpatialSpec{
+				RegionsPerAxis: 2, KG: 0.25 / 3, KCL: 0.20 / 3, KIL: 0.20 / 3,
+				CorrLength: 1, MaxDims: 2,
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := Analyze(sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, _, err := RunMC(sys, opts, 600, 99, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nominal, err := NominalRun(sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc, err := CompareWithMC(op, mc, nominal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("K=%d: µ err avg %.4f%%, σ err avg %.2f%%, ±3σ %.1f%% of µ0, µ-shift %.4f%% VDD",
+				sys.Dims(), acc.AvgErrMeanPct, acc.AvgErrStdPct, acc.ThreeSigmaPctOfNominal, acc.MeanShiftPctVDD)
+			if acc.AvgErrMeanPct > 0.5 {
+				t.Errorf("average mean error %g%% too large", acc.AvgErrMeanPct)
+			}
+			if acc.AvgErrStdPct > 12 {
+				t.Errorf("average std error %g%% too large", acc.AvgErrStdPct)
+			}
+			if acc.MeanShiftPctVDD > 0.2 {
+				t.Errorf("mean shift %g%% of VDD should be negligible", acc.MeanShiftPctVDD)
+			}
+			if acc.ThreeSigmaPctOfNominal < 10 || acc.ThreeSigmaPctOfNominal > 70 {
+				t.Errorf("±3σ/µ0 = %g%%, expected tens of percent", acc.ThreeSigmaPctOfNominal)
+			}
+		})
 	}
 }
 

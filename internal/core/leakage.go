@@ -121,7 +121,7 @@ func buildLeakageSystem(nl *netlist.Netlist, opts LeakageOptions) (*galerkin.Sys
 	iv := make([]float64, len(leaks)) // leakage currents at the step's time
 	rhs := func(t float64, out [][]float64) {
 		// Deterministic part: pads plus non-leakage sources.
-		sys.RHS(t, ua, nil, nil)
+		sys.RHS(t, ua, nil)
 		// Remove the leakage sources from the deterministic vector; they
 		// re-enter through their chaos coefficients. Each waveform is
 		// evaluated once here and reused for every basis function.
@@ -286,7 +286,7 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 				return nil, err
 			}
 			t := float64(step) * opts.Step
-			sys.RHS(t, ua, nil, nil)
+			sys.RHS(t, ua, nil)
 			for i, src := range leaks {
 				iv[i] = src.Wave.At(t)
 			}

@@ -42,7 +42,7 @@ func leakageMCOracle(t *testing.T, nl *netlist.Netlist, opts LeakageOptions, sam
 	multiplier := make([]float64, opts.Regions)
 	sigma := opts.SigmaLogI
 	rhsAt := func(t float64) {
-		sys.RHS(t, ua, nil, nil)
+		sys.RHS(t, ua, nil)
 		copy(u, ua)
 		for _, src := range nl.Sources {
 			if !src.Leakage {

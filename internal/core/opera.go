@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"opera/internal/factor"
@@ -45,7 +46,8 @@ type Options struct {
 	// at every step (needed for PDFs and the distribution figures).
 	TrackNodes []int
 	// Families optionally overrides the per-dimension polynomial
-	// families (default: Hermite × Hermite, the paper's Gaussian case).
+	// families, one per variable of the system (default: Hermite in
+	// every dimension, the paper's Gaussian case).
 	Families []poly.Family
 	// ForceCoupled and ForceLU are ablation switches (see galerkin).
 	ForceCoupled bool
@@ -90,10 +92,20 @@ func (o Options) Validate() error {
 	if o.Step <= 0 || o.Steps < 1 {
 		return fmt.Errorf("core: bad time stepping %g x %d", o.Step, o.Steps)
 	}
-	if o.Families != nil && len(o.Families) != mna.Dims {
-		return fmt.Errorf("core: need %d families, got %d", mna.Dims, len(o.Families))
-	}
 	return nil
+}
+
+// chaosBasis returns the order-p basis over the system's K variables:
+// opts.Families, or Hermite in every dimension.
+func chaosBasis(sys *mna.System, opts Options) (*pce.Basis, error) {
+	k := sys.Dims()
+	if opts.Families == nil {
+		return pce.NewHermiteBasis(k, opts.Order), nil
+	}
+	if len(opts.Families) != k {
+		return nil, fmt.Errorf("core: need %d families, got %d", k, len(opts.Families))
+	}
+	return pce.NewBasis(opts.Families, opts.Order), nil
 }
 
 // Result is the output of an OPERA analysis.
@@ -115,19 +127,20 @@ type Result struct {
 	Galerkin galerkin.Result
 }
 
-// Analyze runs OPERA on a stamped MNA system.
+// Analyze runs OPERA on a stamped MNA system of any variation model
+// (the builders of package mna).
 func Analyze(sys *mna.System, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	fams := opts.Families
-	if fams == nil {
-		fams = []poly.Family{poly.Hermite{}, poly.Hermite{}}
-	}
 	sp := opts.Obs.Start("stamp", obs.Int("n", sys.N), obs.Int("order", opts.Order))
-	basis := pce.NewBasis(fams, opts.Order)
-	gsys, err := galerkin.FromMNA(sys, basis)
+	basis, err := chaosBasis(sys, opts)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	gsys, err := galerkin.From(sys, basis)
 	sp.SetAttrs(obs.Int("basis", basis.Size()))
 	sp.End()
 	if err != nil {
@@ -231,6 +244,19 @@ func (r *Result) MaxMeanDropNode() (node, step int) {
 	return node, step
 }
 
+// MaxStd returns the largest node standard deviation over the window.
+func (r *Result) MaxStd() float64 {
+	worst := 0.0
+	for _, row := range r.Variance {
+		for _, v := range row {
+			if v > worst {
+				worst = v
+			}
+		}
+	}
+	return math.Sqrt(worst)
+}
+
 // NominalResult is the deterministic (no-variation) transient: the
 // response and the companion factorization that produced it.
 type NominalResult struct {
@@ -260,7 +286,7 @@ func Nominal(sys *mna.System, opts Options) (*NominalResult, error) {
 	res := &NominalResult{V: alloc2(opts.Steps+1, sys.N), Symbolic: st.Symbolic()}
 	ua := make([]float64, sys.N)
 	err = st.Run(func(t float64, u []float64) {
-		sys.RHS(t, ua, nil, nil)
+		sys.RHS(t, ua, nil)
 		copy(u, ua)
 	}, func(step int, _ float64, x []float64) {
 		copy(res.V[step], x)

@@ -8,8 +8,6 @@ import (
 	"opera/internal/mna"
 	"opera/internal/mor"
 	"opera/internal/order"
-	"opera/internal/pce"
-	"opera/internal/poly"
 	"opera/internal/sparse"
 )
 
@@ -48,6 +46,10 @@ func AnalyzeReduced(sys *mna.System, ports []int, morMoments int, opts Options) 
 	if len(ports) == 0 {
 		return nil, fmt.Errorf("core: AnalyzeReduced needs at least one port")
 	}
+	basis, err := chaosBasis(sys, opts)
+	if err != nil {
+		return nil, err
+	}
 	startReduce := time.Now()
 	// The grid is driven by distributed sources (pads and block
 	// currents), not by the observation ports; snapshot the excitation's
@@ -61,45 +63,40 @@ func AnalyzeReduced(sys *mna.System, ports []int, morMoments int, opts Options) 
 		return nil, fmt.Errorf("core: reduction: %w", err)
 	}
 	k := red.K
-	// Project every operator matrix onto V.
-	gar := projectSparse(sys.Ga, red.V)
-	ggr := projectSparse(sys.Gg, red.V)
-	car := projectSparse(sys.Ca, red.V)
-	ccr := projectSparse(sys.Cc, red.V)
-
-	fams := opts.Families
-	if fams == nil {
-		fams = []poly.Family{poly.Hermite{}, poly.Hermite{}}
-	}
-	basis := pce.NewBasis(fams, opts.Order)
+	// Project every operator matrix and excitation component onto V and
+	// lift the reduced model as galerkin.From lifts the full one.
 	ident := basis.CouplingIdentity()
-	gTerms := []galerkin.Term{{Coupling: ident, A: gar}}
-	if sys.Gg.NNZ() > 0 {
-		gTerms = append(gTerms, galerkin.Term{Coupling: basis.CouplingLinear(mna.DimG), A: ggr})
+	gTerms := []galerkin.Term{{Coupling: ident, A: projectSparse(sys.Ga, red.V)}}
+	cTerms := []galerkin.Term{{Coupling: ident, A: projectSparse(sys.Ca, red.V)}}
+	dims := sys.Dims()
+	proj := make([][]float64, dims)
+	for d := 0; d < dims; d++ {
+		if g := sys.GSens[d]; g != nil && g.NNZ() > 0 {
+			gTerms = append(gTerms, galerkin.Term{Coupling: basis.CouplingLinear(d), A: projectSparse(g, red.V)})
+		}
+		if c := sys.CSens[d]; c != nil && c.NNZ() > 0 {
+			cTerms = append(cTerms, galerkin.Term{Coupling: basis.CouplingLinear(d), A: projectSparse(c, red.V)})
+		}
+		proj[d] = basis.ProjectVariable(d)
 	}
-	cTerms := []galerkin.Term{{Coupling: ident, A: car}}
-	if sys.Cc.NNZ() > 0 {
-		cTerms = append(cTerms, galerkin.Term{Coupling: basis.CouplingLinear(mna.DimL), A: ccr})
-	}
-	pg := basis.ProjectVariable(mna.DimG)
-	pl := basis.ProjectVariable(mna.DimL)
 	n := sys.N
 	ua := make([]float64, n)
-	ug := make([]float64, n)
-	uc := make([]float64, n)
+	uk := alloc2(dims, n)
 	uaR := make([]float64, k)
-	ugR := make([]float64, k)
-	ucR := make([]float64, k)
+	ukR := alloc2(dims, k)
 	rhs := func(t float64, out [][]float64) {
-		sys.RHS(t, ua, ug, uc)
+		sys.RHS(t, ua, uk)
 		projectVec(red.V, ua, uaR)
-		projectVec(red.V, ug, ugR)
-		projectVec(red.V, uc, ucR)
+		for d := range uk {
+			projectVec(red.V, uk[d], ukR[d])
+		}
 		for m := range out {
 			dst := out[m]
-			cgm, clm := pg[m], pl[m]
 			for i := 0; i < k; i++ {
-				v := cgm*ugR[i] + clm*ucR[i]
+				v := proj[0][m] * ukR[0][i]
+				for d := 1; d < dims; d++ {
+					v += proj[d][m] * ukR[d][i]
+				}
 				if m == 0 {
 					v += uaR[i]
 				}
@@ -157,22 +154,29 @@ func AnalyzeReduced(sys *mna.System, ports []int, morMoments int, opts Options) 
 	return out, nil
 }
 
-// excitationSnapshots samples ua/ug/uc over the transient window at
-// count evenly spaced times, returning the distinct spatial patterns.
+// excitationSnapshots samples the excitation over the transient window
+// at count evenly spaced times, returning its spatial patterns: ua and
+// every source-driven u_k at each time, and each static pad-only u_k
+// once, after the first time's.
 func excitationSnapshots(sys *mna.System, opts Options, count int) [][]float64 {
-	n := sys.N
 	var out [][]float64
-	ua := make([]float64, n)
-	ug := make([]float64, n)
-	uc := make([]float64, n)
-	for k := 0; k < count; k++ {
-		t := float64(k) * opts.Step * float64(opts.Steps) / float64(count-1)
-		sys.RHS(t, ua, ug, uc)
+	ua := make([]float64, sys.N)
+	uk := alloc2(sys.Dims(), sys.N)
+	for j := 0; j < count; j++ {
+		t := float64(j) * opts.Step * float64(opts.Steps) / float64(count-1)
+		sys.RHS(t, ua, uk)
 		out = append(out, append([]float64(nil), ua...))
-		out = append(out, append([]float64(nil), uc...))
-		if k == 0 {
-			// The pad-sensitivity pattern ug is time-invariant.
-			out = append(out, append([]float64(nil), ug...))
+		for d, u := range uk {
+			if sys.SourceDriven(d) {
+				out = append(out, append([]float64(nil), u...))
+			}
+		}
+		if j == 0 {
+			for d, u := range uk {
+				if !sys.SourceDriven(d) {
+					out = append(out, append([]float64(nil), u...))
+				}
+			}
 		}
 	}
 	return out

@@ -34,7 +34,7 @@ func cancelTestSystem(t *testing.T, rhsOnly bool) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
+	gsys, err := From(sys, pce.NewHermiteBasis(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSolveCancelAllPaths(t *testing.T) {
 	// hands off to the block factor after step 1; the small grid's
 	// steps 1–4 are quiet and CG serves them without a handoff.
 	excited := func(t *testing.T) *System {
-		gsys, err := FromMNA(excitedGrid(t), pce.NewHermiteBasis(2, 2))
+		gsys, err := From(excitedGrid(t), pce.NewHermiteBasis(2, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func mediumSystem(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
+	gsys, err := From(sys, pce.NewHermiteBasis(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func assertMomentsClose(t *testing.T, what string, mean, variance, refMean, refV
 // direct oracle.
 func TestLongWindowHandsOffToBlock(t *testing.T) {
 	basis := pce.NewHermiteBasis(2, 2)
-	gsys, err := FromMNA(excitedGrid(t), basis)
+	gsys, err := From(excitedGrid(t), basis)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,25 +54,26 @@ const (
 )
 
 // quadratureReference computes E[x(t)] and Var(x(t)) at every node and
-// step by tensor Gauss–Hermite quadrature over (ξG, ξL): each quadrature
-// node is one deterministic transient solve. Exact up to quadrature
-// truncation (the response is analytic in ξ), so it is a noise-free
-// reference unlike Monte Carlo.
-func quadratureReference(t *testing.T, sys *mna.System, npts int) (mean, variance [][]float64) {
+// step by tensor Gauss–Hermite quadrature over the system's K
+// variables: each quadrature node is one deterministic transient solve.
+// Exact up to quadrature truncation (the response is analytic in ξ), so
+// it is a noise-free reference unlike Monte Carlo.
+func quadratureReference(t *testing.T, sys *mna.System, npts, steps int) (mean, variance [][]float64) {
 	t.Helper()
 	rule, err := quad.GaussHermite(npts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nsteps := tSteps + 1
+	nsteps := steps + 1
 	mean = alloc2(nsteps, sys.N)
 	m2 := alloc2(nsteps, sys.N)
-	for a, xg := range rule.Nodes {
-		for b, xl := range rule.Nodes {
-			w := rule.Weights[a] * rule.Weights[b]
-			g, c, rhs := sys.Realize(xg, xl)
+	z := make([]float64, sys.Dims())
+	var walk func(d int, w float64)
+	walk = func(d int, w float64) {
+		if d == len(z) {
+			g, c, rhs := sys.Realize(z)
 			err := transient.Run(g, c, rhs,
-				transient.Options{Step: tStep, Steps: tSteps, Method: transient.BackwardEuler},
+				transient.Options{Step: tStep, Steps: steps, Method: transient.BackwardEuler},
 				func(step int, _ float64, x []float64) {
 					for i, xi := range x {
 						mean[step][i] += w * xi
@@ -82,8 +83,14 @@ func quadratureReference(t *testing.T, sys *mna.System, npts int) (mean, varianc
 			if err != nil {
 				t.Fatal(err)
 			}
+			return
+		}
+		for q, x := range rule.Nodes {
+			z[d] = x
+			walk(d+1, w*rule.Weights[q])
 		}
 	}
+	walk(0, 1)
 	variance = alloc2(nsteps, sys.N)
 	for s := range variance {
 		for i := range variance[s] {
@@ -101,10 +108,13 @@ func alloc2(a, b int) [][]float64 {
 	return m
 }
 
+// runGalerkin lifts sys onto the order-p Hermite basis over its K
+// variables, solves, and returns the per-step moments, asserting that
+// every block of coefficients delivered to the visitor is finite.
 func runGalerkin(t *testing.T, sys *mna.System, order int, opts Options) (mean, variance [][]float64, res Result) {
 	t.Helper()
-	basis := pce.NewHermiteBasis(2, order)
-	gsys, err := FromMNA(sys, basis)
+	basis := pce.NewHermiteBasis(sys.Dims(), order)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +122,9 @@ func runGalerkin(t *testing.T, sys *mna.System, order int, opts Options) (mean, 
 	mean = alloc2(nsteps, sys.N)
 	variance = alloc2(nsteps, sys.N)
 	res, err = Solve(gsys, opts, func(step int, _ float64, coeffs [][]float64) {
+		if !numguard.FiniteBlocks(coeffs) {
+			t.Fatalf("step %d: non-finite coefficients delivered to visitor", step)
+		}
 		for i := 0; i < sys.N; i++ {
 			mean[step][i] = coeffs[0][i]
 			v := 0.0
@@ -132,7 +145,7 @@ func TestGalerkinMatchesQuadratureReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMean, refVar := quadratureReference(t, sys, 7)
+	refMean, refVar := quadratureReference(t, sys, 7, tSteps)
 	opts := Options{Step: tStep, Steps: tSteps}
 	mean, variance, res := runGalerkin(t, sys, 2, opts)
 	// The augmented system is SPD: CG, or a cost handoff to the block
@@ -169,7 +182,7 @@ func TestOrder3ImprovesOnOrder2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refMean, refVar := quadratureReference(t, sys, 8)
+	refMean, refVar := quadratureReference(t, sys, 8, tSteps)
 	opts := Options{Step: tStep, Steps: tSteps}
 	_, v2, _ := runGalerkin(t, sys, 2, opts)
 	_, v3, _ := runGalerkin(t, sys, 3, opts)
@@ -208,7 +221,7 @@ func TestLinearRHSOnlyIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	basis := pce.NewHermiteBasis(2, 1)
-	gsys, err := FromMNA(sys, basis)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +249,7 @@ func TestLinearRHSOnlyIsExact(t *testing.T) {
 	// exactness means the PCE evaluated at ξ equals the deterministic
 	// solve at ξ.
 	xg, xl := 0.7, -1.3
-	g, c, rhs := sys.Realize(xg, xl)
+	g, c, rhs := sys.Realize([]float64{xg, xl})
 	var want []float64
 	err = transient.Run(g, c, rhs,
 		transient.Options{Step: tStep, Steps: 20, Method: transient.BackwardEuler},
@@ -304,7 +317,7 @@ func TestAssembledMatricesSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	basis := pce.NewHermiteBasis(2, 2)
-	gsys, err := FromMNA(sys, basis)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +338,7 @@ func TestAssembledMatricesSymmetric(t *testing.T) {
 			if math.Abs(gh.At(i, j)-sys.Ga.At(i, j)) > 1e-12 {
 				t.Fatalf("block (0,0) != Ga at (%d,%d)", i, j)
 			}
-			if math.Abs(gh.At(i, 9+j)-sys.Gg.At(i, j)) > 1e-12 {
+			if math.Abs(gh.At(i, 9+j)-sys.GSens[mna.DimG].At(i, j)) > 1e-12 {
 				t.Fatalf("block (0,1) != Gg at (%d,%d)", i, j)
 			}
 		}
@@ -444,26 +457,7 @@ func TestEq14VariableCombination(t *testing.T) {
 	// Two-variable run.
 	mean2, var2, _ := runGalerkin(t, sys2, 2, opts)
 	// Three-variable run.
-	basis3 := pce.NewHermiteBasis(3, 2)
-	gsys3, err := FromThreeVar(sys3, basis3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsteps := opts.Steps + 1
-	mean3 := alloc2(nsteps, sys3.N)
-	var3 := alloc2(nsteps, sys3.N)
-	if _, err := Solve(gsys3, opts, func(step int, _ float64, coeffs [][]float64) {
-		for i := 0; i < sys3.N; i++ {
-			mean3[step][i] = coeffs[0][i]
-			v := 0.0
-			for m := 1; m < basis3.Size(); m++ {
-				v += coeffs[m][i] * coeffs[m][i]
-			}
-			var3[step][i] = v
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	mean3, var3, _ := runGalerkin(t, sys3, 2, opts)
 	for s := 0; s <= opts.Steps; s++ {
 		for i := 0; i < sys3.N; i++ {
 			if d := math.Abs(mean2[s][i] - mean3[s][i]); d > 1e-10 {
@@ -494,8 +488,8 @@ func TestThreeVarRealizeConsistency(t *testing.T) {
 	xiW, xiT, xiL := 0.8, -1.1, 0.4
 	kg := spec3.Combine().KG
 	xiG := (spec3.KW*xiW + spec3.KT*xiT) / kg
-	g3, c3, _ := sys3.Realize(xiW, xiT, xiL)
-	g2, c2, _ := sys2.Realize(xiG, xiL)
+	g3, c3, _ := sys3.Realize([]float64{xiW, xiT, xiL})
+	g2, c2, _ := sys2.Realize([]float64{xiG, xiL})
 	d := sparse.Add(1, g3, -1, g2)
 	for _, v := range d.Val {
 		if math.Abs(v) > 1e-12 {
@@ -536,26 +530,7 @@ func TestCorrelatedMatchesEquivalentCombined(t *testing.T) {
 	opts := Options{Step: tStep, Steps: 20}
 	mean2, var2, _ := runGalerkin(t, comb, 2, opts)
 
-	basis3 := pce.NewHermiteBasis(3, 2)
-	gsys, err := FromCorrelated(corr, basis3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsteps := opts.Steps + 1
-	mean3 := alloc2(nsteps, corr.N)
-	var3 := alloc2(nsteps, corr.N)
-	if _, err := Solve(gsys, opts, func(step int, _ float64, coeffs [][]float64) {
-		for i := 0; i < corr.N; i++ {
-			mean3[step][i] = coeffs[0][i]
-			v := 0.0
-			for m := 1; m < basis3.Size(); m++ {
-				v += coeffs[m][i] * coeffs[m][i]
-			}
-			var3[step][i] = v
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	mean3, var3, _ := runGalerkin(t, corr, 2, opts)
 	for s := 0; s <= opts.Steps; s++ {
 		for i := 0; i < corr.N; i++ {
 			if d := math.Abs(mean2[s][i] - mean3[s][i]); d > 1e-9 {
@@ -593,35 +568,8 @@ func TestCorrelatedDiagonalEqualsThreeVar(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Step: tStep, Steps: 15}
-	basis := pce.NewHermiteBasis(3, 2)
-	run := func(gsys *System) ([][]float64, [][]float64) {
-		nsteps := opts.Steps + 1
-		mean := alloc2(nsteps, corr.N)
-		variance := alloc2(nsteps, corr.N)
-		if _, err := Solve(gsys, opts, func(step int, _ float64, coeffs [][]float64) {
-			for i := 0; i < corr.N; i++ {
-				mean[step][i] = coeffs[0][i]
-				v := 0.0
-				for m := 1; m < basis.Size(); m++ {
-					v += coeffs[m][i] * coeffs[m][i]
-				}
-				variance[step][i] = v
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return mean, variance
-	}
-	gc, err := FromCorrelated(corr, basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g3, err := FromThreeVar(sys3, basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, vc := run(gc)
-	m3, v3 := run(g3)
+	mc, vc, _ := runGalerkin(t, corr, 2, opts)
+	m3, v3, _ := runGalerkin(t, sys3, 2, opts)
 	for s := range mc {
 		for i := range mc[s] {
 			if d := math.Abs(mc[s][i] - m3[s][i]); d > 1e-10 {
@@ -681,7 +629,7 @@ func TestVisitBlocksContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	basis := pce.NewHermiteBasis(2, 2)
-	gsys, err := FromMNA(sys, basis)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,14 +677,14 @@ func TestQuadraticOperatorModel(t *testing.T) {
 	}
 	basis := pce.NewHermiteBasis(2, 3)
 	// Quadratic sensitivity: a fraction of the linear one.
-	gq := sys.Gg.Clone().Scale(0.3)
+	gq := sys.GSens[mna.DimG].Clone().Scale(0.3)
 	quadCoeffs, err := basis.ProjectFunc(func(xi []float64) float64 {
 		return xi[0]*xi[0] - 1
 	}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsys, err := FromMNA(sys, basis)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +718,7 @@ func TestQuadraticOperatorModel(t *testing.T) {
 	for a, xg := range rule.Nodes {
 		for b2, xl := range rule.Nodes {
 			w := rule.Weights[a] * rule.Weights[b2]
-			g, c, rhs := sys.Realize(xg, xl)
+			g, c, rhs := sys.Realize([]float64{xg, xl})
 			g = sparse.Add(1, g, xg*xg-1, gq)
 			err := transient.Run(g, c, rhs,
 				transient.Options{Step: tStep, Steps: opts.Steps, Method: transient.BackwardEuler},

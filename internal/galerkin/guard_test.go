@@ -54,37 +54,6 @@ func TestLadderShapes(t *testing.T) {
 	}
 }
 
-// guardedRun runs the Galerkin solve while asserting that every block
-// of coefficients delivered to the visitor is finite.
-func guardedRun(t *testing.T, sys *mna.System, order int, opts Options) (mean, variance [][]float64, res Result) {
-	t.Helper()
-	basis := pce.NewHermiteBasis(2, order)
-	gsys, err := FromMNA(sys, basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsteps := opts.Steps + 1
-	mean = alloc2(nsteps, sys.N)
-	variance = alloc2(nsteps, sys.N)
-	res, err = Solve(gsys, opts, func(step int, _ float64, coeffs [][]float64) {
-		if !numguard.FiniteBlocks(coeffs) {
-			t.Fatalf("step %d: non-finite coefficients delivered to visitor", step)
-		}
-		for i := 0; i < sys.N; i++ {
-			mean[step][i] = coeffs[0][i]
-			v := 0.0
-			for m := 1; m < basis.Size(); m++ {
-				v += coeffs[m][i] * coeffs[m][i]
-			}
-			variance[step][i] = v
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mean, variance, res
-}
-
 func maxAbsDiff(a, b [][]float64) float64 {
 	worst := 0.0
 	for s := range a {
@@ -105,14 +74,14 @@ func TestInjectDriftRecoveredByRefinement(t *testing.T) {
 	// Verify every step: a consistent drift on unverified steps would
 	// otherwise pass through on the default cadence by design.
 	opts := Options{Step: tStep, Steps: 10, Guard: numguard.Config{VerifyEvery: 1}}
-	refMean, refVar, _ := guardedRun(t, sys, 2, opts)
+	refMean, refVar, _ := runGalerkin(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN:   map[int]string{1: "cg+mean-precond"},
 		SolveDrift: map[string]float64{"block-cholesky": 1e-3},
 	})
 	t.Cleanup(restore)
-	mean, variance, res := guardedRun(t, sys, 2, opts)
+	mean, variance, res := runGalerkin(t, sys, 2, opts)
 
 	// A 1e-3 consistent drift is far above the 1e-8 residual tolerance
 	// but well within refinement reach (the error contracts by ~1e-3 per
@@ -142,14 +111,14 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Step: tStep, Steps: 10}
-	refMean, _, _ := guardedRun(t, sys, 2, opts)
+	refMean, _, _ := runGalerkin(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN:    map[int]string{1: "cg+mean-precond"},
 		FailPrepare: map[string]int{"block-cholesky": -1},
 	})
 	t.Cleanup(restore)
-	mean, _, res := guardedRun(t, sys, 2, opts)
+	mean, _, res := runGalerkin(t, sys, 2, opts)
 
 	if res.Factorer != "cg+mean-precond→lu" {
 		t.Errorf("factorer %q, want cg+mean-precond→lu", res.Factorer)
@@ -175,13 +144,13 @@ func TestInjectNaNMidTransientRetriesStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Step: tStep, Steps: 10}
-	refMean, _, _ := guardedRun(t, sys, 2, opts)
+	refMean, _, _ := runGalerkin(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN: map[int]string{2: "cg+mean-precond", 5: "block-cholesky"},
 	})
 	t.Cleanup(restore)
-	mean, _, res := guardedRun(t, sys, 2, opts)
+	mean, _, res := runGalerkin(t, sys, 2, opts)
 
 	rep := res.Guard()
 	if rep == nil || rep.NaNEvents != 2 {
@@ -212,7 +181,7 @@ func TestInjectExhaustedLadderReturnsDiagnosis(t *testing.T) {
 		t.Fatal(err)
 	}
 	basis := pce.NewHermiteBasis(2, 2)
-	gsys, err := FromMNA(sys, basis)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +213,7 @@ func TestInjectNaNNeverEscapesWithoutError(t *testing.T) {
 		t.Fatal(err)
 	}
 	basis := pce.NewHermiteBasis(2, 2)
-	gsys, err := FromMNA(sys, basis)
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +261,7 @@ func TestInjectDecoupledPathEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Step: tStep, Steps: 10}
-	refMean, _, refRes := guardedRun(t, sys, 1, opts)
+	refMean, _, refRes := runGalerkin(t, sys, 1, opts)
 	if !refRes.Decoupled {
 		t.Fatal("reference run did not take the decoupled path")
 	}
@@ -301,7 +270,7 @@ func TestInjectDecoupledPathEscalates(t *testing.T) {
 		FailPrepare: map[string]int{"supernodal": -1},
 	})
 	t.Cleanup(restore)
-	mean, _, res := guardedRun(t, sys, 1, opts)
+	mean, _, res := runGalerkin(t, sys, 1, opts)
 	if !res.Decoupled {
 		t.Fatal("faulted run did not take the decoupled path")
 	}
@@ -321,13 +290,13 @@ func TestInjectIterativePathEscalatesToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Step: tStep, Steps: 10}
-	refMean, _, _ := guardedRun(t, sys, 2, opts)
+	refMean, _, _ := runGalerkin(t, sys, 2, opts)
 
 	restore := inject.Enable(&inject.Faults{
 		SolveNaN: map[int]string{4: "cg+mean-precond"},
 	})
 	t.Cleanup(restore)
-	mean, _, res := guardedRun(t, sys, 2, opts)
+	mean, _, res := runGalerkin(t, sys, 2, opts)
 
 	if !strings.HasPrefix(res.Factorer, "cg+mean-precond→") {
 		t.Errorf("factorer %q does not record the escalation", res.Factorer)
@@ -360,7 +329,7 @@ func TestInjectDriftFailsTrueResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, 2))
+	gsys, err := From(sys, pce.NewHermiteBasis(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func rhsOnlySystem(t *testing.T, order int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsys, err := FromMNA(sys, pce.NewHermiteBasis(2, order))
+	gsys, err := From(sys, pce.NewHermiteBasis(2, order))
 	if err != nil {
 		t.Fatal(err)
 	}

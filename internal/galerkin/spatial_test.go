@@ -6,9 +6,6 @@ import (
 
 	"opera/internal/mna"
 	"opera/internal/netlist"
-	"opera/internal/pce"
-	"opera/internal/quad"
-	"opera/internal/transient"
 )
 
 // regionedGrid builds the 3x3 test grid with every element tagged into
@@ -58,8 +55,8 @@ func TestSpatialPerfectCorrelationEqualsInterDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ssys.DimsG != 1 || ssys.DimsL != 1 {
-		t.Fatalf("perfect correlation should keep 1 PC per field, got %d/%d", ssys.DimsG, ssys.DimsL)
+	if ssys.Dims() != 2 {
+		t.Fatalf("perfect correlation should keep 1 PC per field, got %d dims", ssys.Dims())
 	}
 	// Equivalent inter-die model. The spatial model treats pads as
 	// deterministic package metal, so the reference uses off-die pads.
@@ -72,26 +69,7 @@ func TestSpatialPerfectCorrelationEqualsInterDie(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Step: tStep, Steps: 15}
-	basis := pce.NewHermiteBasis(2, 2)
-	gs, err := FromSpatial(ssys, basis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsteps := opts.Steps + 1
-	meanS := alloc2(nsteps, ssys.N)
-	varS := alloc2(nsteps, ssys.N)
-	if _, err := Solve(gs, opts, func(step int, _ float64, coeffs [][]float64) {
-		for i := 0; i < ssys.N; i++ {
-			meanS[step][i] = coeffs[0][i]
-			v := 0.0
-			for m := 1; m < basis.Size(); m++ {
-				v += coeffs[m][i] * coeffs[m][i]
-			}
-			varS[step][i] = v
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	meanS, varS, _ := runGalerkin(t, ssys, 2, opts)
 	mean2, var2, _ := runGalerkin(t, sys2, 2, opts)
 	for s := 0; s <= opts.Steps; s++ {
 		for i := 0; i < ssys.N; i++ {
@@ -123,28 +101,9 @@ func TestSpatialIndependentRegionsReduceVariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		basis := pce.NewHermiteBasis(ssys.Dims, 2)
-		gs, err := FromSpatial(ssys, basis)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := Options{Step: tStep, Steps: 12}
-		out := make([]float64, ssys.N)
-		if _, err := Solve(gs, opts, func(step int, _ float64, coeffs [][]float64) {
-			if step != opts.Steps {
-				return
-			}
-			for i := 0; i < ssys.N; i++ {
-				v := 0.0
-				for m := 1; m < basis.Size(); m++ {
-					v += coeffs[m][i] * coeffs[m][i]
-				}
-				out[i] = v
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		_, variance, _ := runGalerkin(t, ssys, 2, opts)
+		return variance[opts.Steps]
 	}
 	indep := runVar(0)
 	corr := runVar(1e9)
@@ -174,70 +133,21 @@ func TestSpatialGalerkinMatchesQuadrature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ssys.Dims != 4 {
-		t.Fatalf("expected 4 truncated dims, got %d", ssys.Dims)
-	}
-	basis := pce.NewHermiteBasis(ssys.Dims, 2)
-	gs, err := FromSpatial(ssys, basis)
-	if err != nil {
-		t.Fatal(err)
+	if ssys.Dims() != 4 {
+		t.Fatalf("expected 4 truncated dims, got %d", ssys.Dims())
 	}
 	opts := Options{Step: tStep, Steps: 10}
-	nsteps := opts.Steps + 1
-	mean := alloc2(nsteps, ssys.N)
-	variance := alloc2(nsteps, ssys.N)
-	if _, err := Solve(gs, opts, func(step int, _ float64, coeffs [][]float64) {
-		for i := 0; i < ssys.N; i++ {
-			mean[step][i] = coeffs[0][i]
-			v := 0.0
-			for m := 1; m < basis.Size(); m++ {
-				v += coeffs[m][i] * coeffs[m][i]
-			}
-			variance[step][i] = v
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	mean, variance, _ := runGalerkin(t, ssys, 2, opts)
 	// Quadrature reference over 4 dims with 4 points each (256 runs of
 	// a 9-node system).
-	rule, err := quad.GaussHermite(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refMean := alloc2(nsteps, ssys.N)
-	refM2 := alloc2(nsteps, ssys.N)
-	z := make([]float64, 4)
-	var rec func(d int, w float64)
-	rec = func(d int, w float64) {
-		if d == 4 {
-			g, c, rhs := ssys.Realize(z)
-			err := transient.Run(g, c, rhs,
-				transient.Options{Step: tStep, Steps: opts.Steps, Method: transient.BackwardEuler},
-				func(step int, _ float64, x []float64) {
-					for i, xi := range x {
-						refMean[step][i] += w * xi
-						refM2[step][i] += w * xi * xi
-					}
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		for q, x := range rule.Nodes {
-			z[d] = x
-			rec(d+1, w*rule.Weights[q])
-		}
-	}
-	rec(0, 1)
+	refMean, refVar := quadratureReference(t, ssys, 4, opts.Steps)
 	for s := 0; s <= opts.Steps; s++ {
 		for i := 0; i < ssys.N; i++ {
 			if d := math.Abs(mean[s][i] - refMean[s][i]); d > 3e-5 {
 				t.Fatalf("spatial mean vs quadrature at step %d node %d: %g", s, i, d)
 			}
-			refVar := refM2[s][i] - refMean[s][i]*refMean[s][i]
-			if refVar > 1e-12 {
-				if rel := math.Abs(variance[s][i]-refVar) / refVar; rel > 0.06 {
+			if refVar[s][i] > 1e-12 {
+				if rel := math.Abs(variance[s][i]-refVar[s][i]) / refVar[s][i]; rel > 0.06 {
 					t.Fatalf("spatial variance vs quadrature at step %d node %d: rel %g", s, i, rel)
 				}
 			}

@@ -85,45 +85,57 @@ func (s *System) RHSOnly() bool {
 	return true
 }
 
-// FromMNA lifts a stamped two-variable (ξG, ξL) MNA system (the paper's
-// Eq. 13–14 linear variation model) into Galerkin form on the given
-// basis. Dimension mna.DimG of the basis carries the geometry variable
-// and mna.DimL the channel-length variable; any Askey family may back
-// either dimension (the paper's Gaussian case uses Hermite for both).
-func FromMNA(sys *mna.System, basis *pce.Basis) (*System, error) {
-	if basis.Dim() != mna.Dims {
-		return nil, fmt.Errorf("galerkin: basis has %d dimensions, the MNA variation model needs %d", basis.Dim(), mna.Dims)
+// From lifts a stamped K-variable MNA system (the paper's linear
+// variation model, Eq. 13–14) into Galerkin form on a K-dimensional
+// basis. Dimension k of the basis carries the variable z_k; any Askey
+// family may back it (the paper's Gaussian case is Hermite throughout).
+// Each nonzero sensitivity adds one term, in k order.
+func From(sys *mna.System, basis *pce.Basis) (*System, error) {
+	k := sys.Dims()
+	if basis.Dim() != k {
+		return nil, fmt.Errorf("galerkin: basis has %d dimensions, the MNA variation model needs %d", basis.Dim(), k)
 	}
 	ident := basis.CouplingIdentity()
-	cg := basis.CouplingLinear(mna.DimG)
-	cl := basis.CouplingLinear(mna.DimL)
 	gTerms := []Term{{Coupling: ident, A: sys.Ga}}
-	if sys.Gg.NNZ() > 0 {
-		gTerms = append(gTerms, Term{Coupling: cg, A: sys.Gg})
-	}
 	cTerms := []Term{{Coupling: ident, A: sys.Ca}}
-	if sys.Cc.NNZ() > 0 {
-		cTerms = append(cTerms, Term{Coupling: cl, A: sys.Cc})
+	proj := make([][]float64, k)
+	for d := 0; d < k; d++ {
+		g, c := sys.GSens[d], sys.CSens[d]
+		if g != nil && g.NNZ() > 0 {
+			gTerms = append(gTerms, Term{Coupling: basis.CouplingLinear(d), A: g})
+		}
+		if c != nil && c.NNZ() > 0 {
+			cTerms = append(cTerms, Term{Coupling: basis.CouplingLinear(d), A: c})
+		}
+		proj[d] = basis.ProjectVariable(d)
 	}
-	// Excitation chaos coefficients: u = ua + ug·ξG + uc·ξL, with the
-	// raw variables expanded on the (possibly non-Gaussian) basis.
-	pg := basis.ProjectVariable(mna.DimG)
-	pl := basis.ProjectVariable(mna.DimL)
+	// Excitation chaos coefficients: u = ua + Σ_k u_k·z_k, with the raw
+	// variables expanded on the (possibly non-Gaussian) basis.
 	n := sys.N
 	ua := make([]float64, n)
-	ug := make([]float64, n)
-	uc := make([]float64, n)
+	uk := make([][]float64, k)
+	for d := range uk {
+		uk[d] = make([]float64, n)
+	}
 	rhs := func(t float64, out [][]float64) {
-		sys.RHS(t, ua, ug, uc)
-		for m := range out {
-			dst := out[m]
-			cgm, clm := pg[m], pl[m]
-			for i := 0; i < n; i++ {
-				v := cgm*ug[i] + clm*uc[i]
-				if m == 0 {
-					v += ua[i]
+		sys.RHS(t, ua, uk)
+		for m, dst := range out {
+			// dst = Σ_k proj[k][m]·u_k (+ ua for the mean), summed in k
+			// order for every node.
+			p := proj[0][m]
+			for i, v := range uk[0] {
+				dst[i] = p * v
+			}
+			for d := 1; d < k; d++ {
+				p := proj[d][m]
+				for i, v := range uk[d] {
+					dst[i] += p * v
 				}
-				dst[i] = v
+			}
+			if m == 0 {
+				for i, v := range ua {
+					dst[i] += v
+				}
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func calibrate(s Spec, nl *netlist.Netlist) error {
 	const samples = 24
 	for k := 0; k <= samples; k++ {
 		t := s.ClockPeriod * float64(k) / samples
-		sys.RHS(t, u, nil, nil)
+		sys.RHS(t, u, nil)
 		f.SolveTo(v, u)
 		for _, vi := range v {
 			if d := s.VDD - vi; d > maxDrop {

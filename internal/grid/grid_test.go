@@ -93,7 +93,7 @@ func TestCalibrationHitsPeakDrop(t *testing.T) {
 	maxDrop := 0.0
 	for k := 0; k <= 24; k++ {
 		tt := s.ClockPeriod * float64(k) / 24
-		sys.RHS(tt, u, nil, nil)
+		sys.RHS(tt, u, nil)
 		f.SolveTo(v, u)
 		for _, vi := range v {
 			if d := s.VDD - vi; d > maxDrop {
@@ -245,7 +245,7 @@ func TestMacroBlockages(t *testing.T) {
 	maxDrop := 0.0
 	for k := 0; k <= 24; k++ {
 		tt := s.ClockPeriod * float64(k) / 24
-		sys.RHS(tt, u, nil, nil)
+		sys.RHS(tt, u, nil)
 		f.SolveTo(v, u)
 		for _, vi := range v {
 			if d := s.VDD - vi; d > maxDrop {

@@ -9,44 +9,23 @@ import (
 	"opera/internal/sparse"
 )
 
-// CorrelatedSystem is the stamped system for *correlated* physical
-// variations. The paper's §5 assumes ξW, ξT, ξL uncorrelated "without
-// loss of generality — given their covariance matrix, they can always
-// be transformed into a set of uncorrelated random variables by an
-// orthogonal transformation technique like principal component
-// analysis". This type performs that transformation: the relative
+// BuildCorrelated stamps the netlist for *correlated* physical
+// variations under a full 3×3 covariance of the relative variations
+// (order: W, T, Leff). The paper's §5 assumes ξW, ξT, ξL uncorrelated
+// "without loss of generality — given their covariance matrix, they can
+// always be transformed into a set of uncorrelated random variables by
+// an orthogonal transformation technique like principal component
+// analysis". This builder performs that transformation: the relative
 // variations δ = (δW, δT, δL) with covariance Cov map to independent
 // standard Gaussians z through δ = V·√Λ·z, and the per-dimension
-// operator sensitivities follow from the chain rule on the linear model
+// sensitivities follow from the chain rule on the linear model
 // G = Ga + (δW + δT)·G_ondie, C = Ca + δL·C_gate,
-// i = i_a·(1 + LeffSens·δL).
-type CorrelatedSystem struct {
-	N   int
-	Ga  *sparse.Matrix
-	Ca  *sparse.Matrix
-	VDD float64
-
-	// GOnDie and CGate are the unscaled sensitivity stamps.
-	GOnDie, CGate *sparse.Matrix
-
-	// Per-z-dimension combined sensitivities (length Dims):
-	// ∂G/∂z_k = GSens[k]·GOnDie, ∂C/∂z_k = CSens[k]·CGate,
-	// drain currents scale by (1 + ISens[k]·z_k) summed over k.
-	Dims  int
-	GSens []float64
-	CSens []float64
-	ISens []float64
-
-	netlist *netlist.Netlist
-	padBase []float64
-	padRel  []float64 // ∂(pad injection)/∂(relative conductance)
-}
-
-// BuildCorrelated stamps the netlist under a full 3×3 covariance of the
-// relative variations (order: W, T, Leff). A diagonal covariance
-// diag(kW², kT², kL²) reproduces the independent three-variable model.
-func BuildCorrelated(nl *netlist.Netlist, cov [][]float64) (*CorrelatedSystem, error) {
-	if err := nl.Validate(); err != nil {
+// i = i_a·(1 + LeffSens·δL). The System's K = 3 variables are those
+// principal components. A diagonal covariance diag(kW², kT², kL²)
+// reproduces the independent three-variable model.
+func BuildCorrelated(nl *netlist.Netlist, cov [][]float64) (*System, error) {
+	sys, err := nominal(nl, 3)
+	if err != nil {
 		return nil, err
 	}
 	if len(cov) != 3 {
@@ -56,68 +35,47 @@ func BuildCorrelated(nl *netlist.Netlist, cov [][]float64) (*CorrelatedSystem, e
 	if err != nil {
 		return nil, fmt.Errorf("mna: covariance decomposition: %w", err)
 	}
-	n := nl.NumNodes
-	ga := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
+	n := sys.N
 	gd := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
-	ca := sparse.NewTriplet(n, n, 4*len(nl.Caps))
 	cg := sparse.NewTriplet(n, n, 4*len(nl.Caps))
-	stamp := func(t *sparse.Triplet, a, b int, v float64) {
-		if a != netlist.Ground {
-			t.Add(a, a, v)
-		}
-		if b != netlist.Ground {
-			t.Add(b, b, v)
-		}
-		if a != netlist.Ground && b != netlist.Ground {
-			t.Add(a, b, -v)
-			t.Add(b, a, -v)
-		}
-	}
 	for _, r := range nl.Resistors {
-		g := 1 / r.Ohms
-		stamp(ga, r.A, r.B, g)
 		if r.OnDie {
-			stamp(gd, r.A, r.B, g)
+			stamp(gd, r.A, r.B, 1/r.Ohms)
 		}
 	}
 	for _, c := range nl.Caps {
-		stamp(ca, c.A, c.B, c.Farads)
 		if c.GateFrac > 0 {
 			stamp(cg, c.A, c.B, c.Farads*c.GateFrac)
 		}
 	}
-	padBase := make([]float64, n)
-	padRel := make([]float64, n)
-	vdd := 0.0
+	padRel := make([]float64, n) // ∂(pad injection)/∂(relative conductance)
 	for _, p := range nl.Pads {
-		g := 1 / p.Rpin
-		ga.Add(p.Node, p.Node, g)
-		padBase[p.Node] += g * p.VDD
 		if p.OnDie {
+			g := 1 / p.Rpin
 			gd.Add(p.Node, p.Node, g)
 			padRel[p.Node] += g * p.VDD
 		}
-		if p.VDD > vdd {
-			vdd = p.VDD
-		}
 	}
+	gOnDie, cGate := gd.Compile(), cg.Compile()
 	// Chain rule through δ = V·√Λ·z: the k-th principal direction
 	// carries sensitivity √λ_k·(V_Wk + V_Tk) to on-die conductance and
 	// √λ_k·V_Lk to gate capacitance and drain currents.
-	sys := &CorrelatedSystem{
-		N: n, Ga: ga.Compile(), Ca: ca.Compile(), VDD: vdd,
-		GOnDie: gd.Compile(), CGate: cg.Compile(),
-		Dims:    3,
-		GSens:   make([]float64, 3),
-		CSens:   make([]float64, 3),
-		ISens:   make([]float64, 3),
-		netlist: nl, padBase: padBase, padRel: padRel,
-	}
 	for k := 0; k < 3; k++ {
 		sl := sqrtNonneg(pca.Lambda[k])
-		sys.GSens[k] = sl * (pca.Vecs[k][0] + pca.Vecs[k][1])
-		sys.CSens[k] = sl * pca.Vecs[k][2]
-		sys.ISens[k] = sl * pca.Vecs[k][2]
+		gs := sl * (pca.Vecs[k][0] + pca.Vecs[k][1])
+		ls := sl * pca.Vecs[k][2]
+		if gs != 0 && gOnDie.NNZ() > 0 {
+			sys.GSens[k] = gOnDie.Clone().Scale(gs)
+		}
+		if ls != 0 && cGate.NNZ() > 0 {
+			sys.CSens[k] = cGate.Clone().Scale(ls)
+		}
+		pad := make([]float64, n)
+		for i, v := range padRel {
+			pad[i] = v * gs
+		}
+		sys.padSens[k] = pad
+		sys.srcSens[k] = sys.uniformWeights(ls)
 	}
 	return sys, nil
 }
@@ -127,63 +85,4 @@ func sqrtNonneg(x float64) float64 {
 		return 0
 	}
 	return math.Sqrt(x)
-}
-
-// RHS fills the excitation decomposition: ua plus the coefficient of
-// each z dimension (out must have Dims slices, any may be nil).
-func (s *CorrelatedSystem) RHS(t float64, ua []float64, sens [][]float64) {
-	if ua != nil {
-		copy(ua, s.padBase)
-	}
-	for k := range sens {
-		if sens[k] == nil {
-			continue
-		}
-		for i := range sens[k] {
-			sens[k][i] = s.padRel[i] * s.GSens[k]
-		}
-	}
-	for _, src := range s.netlist.Sources {
-		iv := src.Wave.At(t)
-		if ua != nil {
-			ua[src.A] -= iv
-		}
-		if src.LeffSens != 0 {
-			for k := range sens {
-				if sens[k] != nil {
-					sens[k][src.A] -= iv * src.LeffSens * s.ISens[k]
-				}
-			}
-		}
-	}
-}
-
-// Realize returns the deterministic matrices and RHS for one draw of
-// the independent principal variables z (length Dims).
-func (s *CorrelatedSystem) Realize(z []float64) (g, c *sparse.Matrix, rhs func(t float64, u []float64)) {
-	if len(z) != s.Dims {
-		panic(fmt.Sprintf("mna: Realize needs %d variables, got %d", s.Dims, len(z)))
-	}
-	gScale, cScale := 0.0, 0.0
-	for k, zk := range z {
-		gScale += s.GSens[k] * zk
-		cScale += s.CSens[k] * zk
-	}
-	g = sparse.Add(1, s.Ga, gScale, s.GOnDie)
-	c = sparse.Add(1, s.Ca, cScale, s.CGate)
-	ua := make([]float64, s.N)
-	sens := make([][]float64, s.Dims)
-	for k := range sens {
-		sens[k] = make([]float64, s.N)
-	}
-	rhs = func(t float64, u []float64) {
-		s.RHS(t, ua, sens)
-		for i := range u {
-			u[i] = ua[i]
-			for k, zk := range z {
-				u[i] += zk * sens[k][i]
-			}
-		}
-	}
-	return g, c, rhs
 }

@@ -1,12 +1,19 @@
 // Package mna stamps a power grid netlist into the modified nodal
-// analysis matrices of the paper's Eq. 12–14: the nominal conductance
-// and capacitance matrices Ga, Ca, their first-order perturbation
-// matrices Gg (w.r.t. the combined geometry variable ξG of Eq. 14) and
-// Cc (w.r.t. ξL), and the time-varying excitation
-// u(t,ξ) = ua(t) + ug(t)·ξG + uc(t)·ξL. Supply pads are
-// Norton-transformed (conductance stamp plus an equivalent current
-// injection), which keeps the system matrix symmetric positive definite
-// and produces the Ug·ξG term naturally from on-die pad conductance.
+// analysis matrices of the paper's linear variation model (Eq. 12–14).
+// Every model is one System over K independent standard variables z:
+//
+//	G(z) = Ga + Σ_k z_k·G_k,  C(z) = Ca + Σ_k z_k·C_k,
+//	u(t, z) = ua(t) + Σ_k z_k·u_k(t).
+//
+// Four builders fill it: Build (ξG, ξL after the Eq. 14 reduction),
+// BuildThreeVar (ξW, ξT, ξL of Eq. 13), BuildCorrelated (the principal
+// variables of a correlated W/T/Leff covariance) and BuildSpatial (the
+// principal components of an intra-die field). Only the builders
+// differ; the Galerkin lift, Monte Carlo and the nominal run take any
+// System. Supply pads are Norton-transformed (conductance stamp plus an
+// equivalent current injection), which keeps the system matrix
+// symmetric positive definite and produces the pad part of u_k
+// naturally from on-die pad conductance.
 package mna
 
 import (
@@ -52,166 +59,259 @@ func DefaultSpec() VariationSpec {
 	}
 }
 
-// System is the stamped stochastic MNA description with two random
-// dimensions: dimension 0 is ξG (geometry: W, T combined), dimension 1
-// is ξL (Leff).
+// System is the stamped stochastic MNA description over K independent
+// standard variables.
 type System struct {
 	N  int
 	Ga *sparse.Matrix // nominal conductance (pads Norton-stamped)
-	Gg *sparse.Matrix // ∂G/∂ξG
 	Ca *sparse.Matrix // nominal capacitance
-	Cc *sparse.Matrix // ∂C/∂ξL
+	// GSens[k] = ∂G/∂z_k and CSens[k] = ∂C/∂z_k (length K each); a
+	// sensitivity the builder stamped nothing into is nil.
+	GSens, CSens []*sparse.Matrix
 
 	VDD float64 // supply voltage (max over pads; for drop reporting)
 
 	netlist *netlist.Netlist
-	spec    VariationSpec
-	// Static (time-independent) parts of the RHS: pad injections.
-	padBase []float64 // Σ gpin·VDD per node
-	padSens []float64 // ∂(pad injection)/∂ξG per node
+	padBase []float64   // Σ gpin·VDD per node
+	padSens [][]float64 // padSens[k]: static pad part of u_k (nil: none)
+	srcSens [][]float64 // srcSens[k][j]: source j's current weight in u_k (nil: none)
 }
 
-// DimG and DimL are the random-dimension indices of the stamped system.
+// Random-dimension indices of the two-variable model built by Build.
 const (
 	DimG = 0
 	DimL = 1
 	Dims = 2
 )
 
-// Build stamps the netlist under the given variation spec.
-func Build(nl *netlist.Netlist, spec VariationSpec) (*System, error) {
+// Dims returns K, the number of random variables.
+func (s *System) Dims() int { return len(s.GSens) }
+
+// SourceDriven reports whether u_k carries current-source terms and so
+// follows the load waveforms; otherwise u_k is the static pad part
+// alone.
+func (s *System) SourceDriven(k int) bool { return s.srcSens[k] != nil }
+
+// stamp adds a two-terminal element of value v between nodes a and b.
+func stamp(t *sparse.Triplet, a, b int, v float64) {
+	if a != netlist.Ground {
+		t.Add(a, a, v)
+	}
+	if b != netlist.Ground {
+		t.Add(b, b, v)
+	}
+	if a != netlist.Ground && b != netlist.Ground {
+		t.Add(a, b, -v)
+		t.Add(b, a, -v)
+	}
+}
+
+// nominal validates the netlist and stamps what every model shares: Ga,
+// Ca, the pads' Norton injections and VDD. The returned System has K
+// empty sensitivity slots for the builder to fill.
+func nominal(nl *netlist.Netlist, k int) (*System, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
 	n := nl.NumNodes
 	ga := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
-	gg := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
 	ca := sparse.NewTriplet(n, n, 4*len(nl.Caps))
-	cc := sparse.NewTriplet(n, n, 4*len(nl.Caps))
-
-	stamp := func(t *sparse.Triplet, a, b int, v float64) {
-		if a != netlist.Ground {
-			t.Add(a, a, v)
-		}
-		if b != netlist.Ground {
-			t.Add(b, b, v)
-		}
-		if a != netlist.Ground && b != netlist.Ground {
-			t.Add(a, b, -v)
-			t.Add(b, a, -v)
-		}
-	}
-
 	for _, r := range nl.Resistors {
-		g := 1 / r.Ohms
-		stamp(ga, r.A, r.B, g)
-		if r.OnDie {
-			stamp(gg, r.A, r.B, g*spec.KG)
-		}
+		stamp(ga, r.A, r.B, 1/r.Ohms)
 	}
 	for _, c := range nl.Caps {
 		stamp(ca, c.A, c.B, c.Farads)
-		if c.GateFrac > 0 {
-			stamp(cc, c.A, c.B, c.Farads*c.GateFrac*spec.KCL)
-		}
-	}
-	padBase := make([]float64, n)
-	padSens := make([]float64, n)
-	vdd := 0.0
-	for _, p := range nl.Pads {
-		g := 1 / p.Rpin
-		ga.Add(p.Node, p.Node, g)
-		padBase[p.Node] += g * p.VDD
-		if p.OnDie {
-			gg.Add(p.Node, p.Node, g*spec.KG)
-			padSens[p.Node] += g * p.VDD * spec.KG
-		}
-		if p.VDD > vdd {
-			vdd = p.VDD
-		}
 	}
 	sys := &System{
 		N:       n,
-		Ga:      ga.Compile(),
-		Gg:      gg.Compile(),
-		Ca:      ca.Compile(),
-		Cc:      cc.Compile(),
-		VDD:     vdd,
+		GSens:   make([]*sparse.Matrix, k),
+		CSens:   make([]*sparse.Matrix, k),
 		netlist: nl,
-		spec:    spec,
-		padBase: padBase,
-		padSens: padSens,
+		padBase: make([]float64, n),
+		padSens: make([][]float64, k),
+		srcSens: make([][]float64, k),
 	}
+	for _, p := range nl.Pads {
+		g := 1 / p.Rpin
+		ga.Add(p.Node, p.Node, g)
+		sys.padBase[p.Node] += g * p.VDD
+		if p.VDD > sys.VDD {
+			sys.VDD = p.VDD
+		}
+	}
+	sys.Ga, sys.Ca = ga.Compile(), ca.Compile()
 	return sys, nil
 }
 
-// Spec returns the variation spec the system was stamped with.
-func (s *System) Spec() VariationSpec { return s.spec }
+// compile returns the stamped sensitivity, or nil when nothing was
+// stamped.
+func compile(t *sparse.Triplet) *sparse.Matrix {
+	if t.NNZ() == 0 {
+		return nil
+	}
+	return t.Compile()
+}
 
-// Netlist returns the underlying netlist.
-func (s *System) Netlist() *netlist.Netlist { return s.netlist }
+// uniformWeights gives every current source the same weight w.
+func (s *System) uniformWeights(w float64) []float64 {
+	ws := make([]float64, len(s.netlist.Sources))
+	for j := range ws {
+		ws[j] = w
+	}
+	return ws
+}
 
-// RHS fills the excitation decomposition at time t:
-// ua — nominal, ug — coefficient of ξG, uc — coefficient of ξL.
-// Any output slice may be nil to skip that component. Current sources
-// draw current (negative injection); pads inject.
-func (s *System) RHS(t float64, ua, ug, uc []float64) {
+// Build stamps the netlist under the two-variable spec: dimension DimG
+// is ξG (geometry: W, T combined), DimL is ξL (Leff).
+func Build(nl *netlist.Netlist, spec VariationSpec) (*System, error) {
+	return buildInterDie(nl, []float64{spec.KG}, spec.KCL, spec.KIL)
+}
+
+// buildInterDie stamps the inter-die model: one geometry dimension per
+// entry of kg, each scaling all on-die metal and pads, then one Leff
+// dimension scaling gate capacitance by kcl and drain currents by kil.
+func buildInterDie(nl *netlist.Netlist, kg []float64, kcl, kil float64) (*System, error) {
+	sys, err := nominal(nl, len(kg)+1)
+	if err != nil {
+		return nil, err
+	}
+	n := sys.N
+	geo := make([]*sparse.Triplet, len(kg))
+	for d := range geo {
+		geo[d] = sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
+	}
+	for _, r := range nl.Resistors {
+		if r.OnDie {
+			g := 1 / r.Ohms
+			for d, k := range kg {
+				stamp(geo[d], r.A, r.B, g*k)
+			}
+		}
+	}
+	for d, k := range kg {
+		pad := make([]float64, n)
+		for _, p := range nl.Pads {
+			if p.OnDie {
+				g := 1 / p.Rpin
+				geo[d].Add(p.Node, p.Node, g*k)
+				pad[p.Node] += g * p.VDD * k
+			}
+		}
+		sys.GSens[d] = compile(geo[d])
+		sys.padSens[d] = pad
+	}
+	leff := len(kg)
+	cc := sparse.NewTriplet(n, n, 4*len(nl.Caps))
+	for _, c := range nl.Caps {
+		if c.GateFrac > 0 {
+			stamp(cc, c.A, c.B, c.Farads*c.GateFrac*kcl)
+		}
+	}
+	sys.CSens[leff] = compile(cc)
+	sys.srcSens[leff] = sys.uniformWeights(kil)
+	return sys, nil
+}
+
+// RHS fills the excitation at time t: ua, the nominal part, and uk[k],
+// the coefficient u_k of z_k. ua may be nil and uk nil, shorter than K
+// or holding nil entries, to skip components. Current sources draw
+// current (negative injection); pads inject.
+func (s *System) RHS(t float64, ua []float64, uk [][]float64) {
 	if ua != nil {
 		if len(ua) != s.N {
 			panic(fmt.Sprintf("mna: RHS ua length %d != %d", len(ua), s.N))
 		}
 		copy(ua, s.padBase)
 	}
-	if ug != nil {
-		if len(ug) != s.N {
-			panic(fmt.Sprintf("mna: RHS ug length %d != %d", len(ug), s.N))
-		}
-		copy(ug, s.padSens)
+	if len(uk) > s.Dims() {
+		panic(fmt.Sprintf("mna: RHS got %d sensitivities, the model has %d", len(uk), s.Dims()))
 	}
-	if uc != nil {
-		if len(uc) != s.N {
-			panic(fmt.Sprintf("mna: RHS uc length %d != %d", len(uc), s.N))
+	for k, u := range uk {
+		if u == nil {
+			continue
 		}
-		for i := range uc {
-			uc[i] = 0
+		if len(u) != s.N {
+			panic(fmt.Sprintf("mna: RHS u_%d length %d != %d", k, len(u), s.N))
+		}
+		if s.padSens[k] != nil {
+			copy(u, s.padSens[k])
+		} else {
+			clear(u)
 		}
 	}
-	for _, src := range s.netlist.Sources {
+	for j, src := range s.netlist.Sources {
 		i := src.Wave.At(t)
 		if ua != nil {
 			ua[src.A] -= i
 		}
-		if uc != nil && src.LeffSens != 0 {
-			uc[src.A] -= i * src.LeffSens * s.spec.KIL
+		if src.LeffSens == 0 {
+			continue
+		}
+		for k, u := range uk {
+			if u != nil && s.srcSens[k] != nil {
+				u[src.A] -= i * src.LeffSens * s.srcSens[k][j]
+			}
 		}
 	}
 }
 
 // Realize returns the deterministic matrices and RHS closure for one
-// realization (ξG, ξL) of the variation variables — the Monte Carlo
+// realization z (length K) of the variation variables — the Monte Carlo
 // sample path. The returned matrices share no storage with the nominal
 // ones.
-func (s *System) Realize(xiG, xiL float64) (g, c *sparse.Matrix, rhs func(t float64, u []float64)) {
-	g = sparse.Add(1, s.Ga, xiG, s.Gg)
-	c = sparse.Add(1, s.Ca, xiL, s.Cc)
+func (s *System) Realize(z []float64) (g, c *sparse.Matrix, rhs func(t float64, u []float64)) {
+	if len(z) != s.Dims() {
+		panic(fmt.Sprintf("mna: Realize needs %d variables, got %d", s.Dims(), len(z)))
+	}
+	g, c = s.Ga, s.Ca
+	for k, zk := range z {
+		if s.GSens[k] != nil {
+			g = sparse.Add(1, g, zk, s.GSens[k])
+		}
+		if s.CSens[k] != nil {
+			c = sparse.Add(1, c, zk, s.CSens[k])
+		}
+	}
+	if g == s.Ga {
+		g = g.Clone()
+	}
+	if c == s.Ca {
+		c = c.Clone()
+	}
+	z = append([]float64(nil), z...) // rhs outlives the caller's draw buffer
 	ua := make([]float64, s.N)
-	ug := make([]float64, s.N)
-	uc := make([]float64, s.N)
+	uk := make([][]float64, len(z))
+	for k := range uk {
+		uk[k] = make([]float64, s.N)
+	}
 	rhs = func(t float64, u []float64) {
-		s.RHS(t, ua, ug, uc)
-		for i := range u {
-			u[i] = ua[i] + xiG*ug[i] + xiL*uc[i]
+		s.RHS(t, ua, uk)
+		copy(u, ua)
+		for k, zk := range z {
+			for i, v := range uk[k] {
+				u[i] += zk * v
+			}
 		}
 	}
 	return g, c, rhs
 }
 
 // UnionPattern returns a matrix holding the union sparsity pattern of
-// Ga, Gg, Ca, Cc (values are the nominal G + C sums; only the pattern
+// Ga, Ca and every sensitivity (values are sums; only the pattern
 // matters). A Cholesky symbolic analysis on this pattern serves every
 // Monte Carlo realization and every time-step matrix G + C/h.
 func (s *System) UnionPattern() *sparse.Matrix {
-	u := sparse.Add(1, s.Ga, 1, s.Gg)
+	u := s.Ga
+	for _, m := range s.GSens {
+		if m != nil {
+			u = sparse.Add(1, u, 1, m)
+		}
+	}
 	u = sparse.Add(1, u, 1, s.Ca)
-	return sparse.Add(1, u, 1, s.Cc)
+	for _, m := range s.CSens {
+		if m != nil {
+			u = sparse.Add(1, u, 1, m)
+		}
+	}
+	return u
 }

@@ -6,6 +6,7 @@ import (
 
 	"opera/internal/factor"
 	"opera/internal/netlist"
+	"opera/internal/sparse"
 )
 
 // twoNodeGrid: pad -> node0 -- R=1 -- node1, cap at node1, drain at
@@ -45,14 +46,14 @@ func TestBuildStamps(t *testing.T) {
 		t.Errorf("Ga[0][1] = %g, want -1", got)
 	}
 	// Gg = KG·(on-die conductance stamps) = 0.1·Ga here (all on-die).
-	if got := sys.Gg.At(0, 0); math.Abs(got-0.3) > 1e-12 {
+	if got := sys.GSens[DimG].At(0, 0); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("Gg[0][0] = %g, want 0.3", got)
 	}
 	// Ca: 1e-12 at node1; Cc = 0.4·0.05·1e-12.
 	if got := sys.Ca.At(1, 1); math.Abs(got-1e-12) > 1e-24 {
 		t.Errorf("Ca[1][1] = %g", got)
 	}
-	if got := sys.Cc.At(1, 1); math.Abs(got-0.4*0.05*1e-12) > 1e-26 {
+	if got := sys.CSens[DimL].At(1, 1); math.Abs(got-0.4*0.05*1e-12) > 1e-26 {
 		t.Errorf("Cc[1][1] = %g", got)
 	}
 	if sys.VDD != 1.2 {
@@ -69,7 +70,7 @@ func TestRHSDecomposition(t *testing.T) {
 	ua := make([]float64, 2)
 	ug := make([]float64, 2)
 	uc := make([]float64, 2)
-	sys.RHS(0, ua, ug, uc)
+	sys.RHS(0, ua, [][]float64{ug, uc})
 	// ua: pad injection 2·1.2 = 2.4 at node0; drain −0.01 at node1.
 	if math.Abs(ua[0]-2.4) > 1e-12 || math.Abs(ua[1]+0.01) > 1e-12 {
 		t.Errorf("ua = %v", ua)
@@ -90,15 +91,15 @@ func TestRealizeConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	xiG, xiL := 1.5, -0.7
-	g, c, rhs := sys.Realize(xiG, xiL)
+	g, c, rhs := sys.Realize([]float64{xiG, xiL})
 	// g = Ga + xiG·Gg entrywise.
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			want := sys.Ga.At(i, j) + xiG*sys.Gg.At(i, j)
+			want := sys.Ga.At(i, j) + xiG*sys.GSens[DimG].At(i, j)
 			if got := g.At(i, j); math.Abs(got-want) > 1e-12 {
 				t.Errorf("g[%d][%d] = %g, want %g", i, j, got, want)
 			}
-			wantC := sys.Ca.At(i, j) + xiL*sys.Cc.At(i, j)
+			wantC := sys.Ca.At(i, j) + xiL*sys.CSens[DimL].At(i, j)
 			if got := c.At(i, j); math.Abs(got-wantC) > 1e-24 {
 				t.Errorf("c[%d][%d] = %g, want %g", i, j, got, wantC)
 			}
@@ -109,7 +110,7 @@ func TestRealizeConsistency(t *testing.T) {
 	ua := make([]float64, 2)
 	ug := make([]float64, 2)
 	uc := make([]float64, 2)
-	sys.RHS(0, ua, ug, uc)
+	sys.RHS(0, ua, [][]float64{ug, uc})
 	for i := range u {
 		want := ua[i] + xiG*ug[i] + xiL*uc[i]
 		if math.Abs(u[i]-want) > 1e-12 {
@@ -126,7 +127,7 @@ func TestNominalDCVoltages(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := make([]float64, 2)
-	sys.RHS(0, u, nil, nil)
+	sys.RHS(0, u, nil)
 	f, err := factor.Cholesky(sys.Ga, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +151,11 @@ func TestOffDieElementsDoNotVary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Gg.NNZ() != 0 {
-		t.Errorf("Gg should be empty for all-off-die metal, nnz = %d", sys.Gg.NNZ())
+	if sys.GSens[DimG] != nil {
+		t.Errorf("Gg should be empty for all-off-die metal, nnz = %d", sys.GSens[DimG].NNZ())
 	}
 	ug := make([]float64, 2)
-	sys.RHS(0, nil, ug, nil)
+	sys.RHS(0, nil, [][]float64{ug})
 	if ug[0] != 0 || ug[1] != 0 {
 		t.Errorf("ug = %v, want zeros", ug)
 	}
@@ -170,7 +171,7 @@ func TestUnionPatternCoversAll(t *testing.T) {
 		name string
 		mat  interface{ At(int, int) float64 }
 	}{
-		{"Ga", sys.Ga}, {"Gg", sys.Gg}, {"Ca", sys.Ca}, {"Cc", sys.Cc},
+		{"Ga", sys.Ga}, {"Gg", sys.GSens[DimG]}, {"Ca", sys.Ca}, {"Cc", sys.CSens[DimL]},
 	} {
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 2; j++ {
@@ -217,12 +218,12 @@ func TestThreeVarStampMatchesCombined(t *testing.T) {
 	kg := spec3.Combine().KG
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			want := sys2.Gg.At(i, j) * spec3.KW / kg
-			if got := sys3.Gw.At(i, j); math.Abs(got-want) > 1e-14 {
+			want := sys2.GSens[DimG].At(i, j) * spec3.KW / kg
+			if got := sys3.GSens[Dim3W].At(i, j); math.Abs(got-want) > 1e-14 {
 				t.Errorf("Gw[%d][%d] = %g, want %g", i, j, got, want)
 			}
-			wantT := sys2.Gg.At(i, j) * spec3.KT / kg
-			if got := sys3.Gt.At(i, j); math.Abs(got-wantT) > 1e-14 {
+			wantT := sys2.GSens[DimG].At(i, j) * spec3.KT / kg
+			if got := sys3.GSens[Dim3T].At(i, j); math.Abs(got-wantT) > 1e-14 {
 				t.Errorf("Gt[%d][%d] = %g, want %g", i, j, got, wantT)
 			}
 		}
@@ -251,7 +252,7 @@ func TestThreeVarRHS(t *testing.T) {
 	uw := make([]float64, 2)
 	ut := make([]float64, 2)
 	uc := make([]float64, 2)
-	sys3.RHS(0, ua, uw, ut, uc)
+	sys3.RHS(0, ua, [][]float64{uw, ut, uc})
 	// Pad injection 2·1.2 at node 0 with W/T sensitivities.
 	if math.Abs(ua[0]-2.4) > 1e-12 {
 		t.Errorf("ua[0] = %g", ua[0])
@@ -264,21 +265,6 @@ func TestThreeVarRHS(t *testing.T) {
 	}
 	if math.Abs(uc[1]+0.01*spec3.KIL) > 1e-15 {
 		t.Errorf("uc[1] = %g", uc[1])
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	nl := twoNodeGrid()
-	spec := DefaultSpec()
-	sys, err := Build(nl, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Spec() != spec {
-		t.Error("Spec accessor mismatch")
-	}
-	if sys.Netlist() != nl {
-		t.Error("Netlist accessor mismatch")
 	}
 }
 
@@ -295,14 +281,24 @@ func TestCorrelatedBuildAndRealize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Dims != 3 {
-		t.Fatalf("dims %d", sys.Dims)
+	if sys.Dims() != 3 {
+		t.Fatalf("dims %d", sys.Dims())
+	}
+	// Every element of the grid is on-die metal or gate capacitance, so
+	// node 1's entries scale Ga and Ca by the per-dimension
+	// sensitivities (a nil sensitivity is zero).
+	at := func(m *sparse.Matrix, i, j int) float64 {
+		if m == nil {
+			return 0
+		}
+		return m.At(i, j)
 	}
 	// Total conductance sensitivity variance: Σ_k GSens_k² must equal
 	// Var(δW + δT) = σW² + σT² + 2ρσWσT.
 	tot := 0.0
 	for k := 0; k < 3; k++ {
-		tot += sys.GSens[k] * sys.GSens[k]
+		gs := at(sys.GSens[k], 1, 1) / sys.Ga.At(1, 1)
+		tot += gs * gs
 	}
 	want := sW*sW + sT*sT + 2*rho*sW*sT
 	if math.Abs(tot-want) > 1e-12 {
@@ -311,7 +307,8 @@ func TestCorrelatedBuildAndRealize(t *testing.T) {
 	// Σ CSens² = σL².
 	totC := 0.0
 	for k := 0; k < 3; k++ {
-		totC += sys.CSens[k] * sys.CSens[k]
+		cs := at(sys.CSens[k], 1, 1) / (0.4 * sys.Ca.At(1, 1))
+		totC += cs * cs
 	}
 	if math.Abs(totC-sL*sL) > 1e-12 {
 		t.Errorf("Σ CSens² = %g, want %g", totC, sL*sL)
@@ -337,10 +334,10 @@ func TestCorrelatedBuildAndRealize(t *testing.T) {
 			t.Fatal("zero realization RHS differs")
 		}
 	}
-	// Nonzero z shifts G along GOnDie.
+	// Nonzero z shifts G along the on-die sensitivity.
 	g1, _, _ := sys.Realize([]float64{1, 0, 0})
 	diff := g1.At(0, 0) - sys.Ga.At(0, 0)
-	if math.Abs(diff-sys.GSens[0]*sys.GOnDie.At(0, 0)) > 1e-14 {
+	if math.Abs(diff-at(sys.GSens[0], 0, 0)) > 1e-14 {
 		t.Errorf("realized shift %g", diff)
 	}
 }
@@ -364,14 +361,14 @@ func TestThreeVarRealize(t *testing.T) {
 		t.Fatal(err)
 	}
 	xiW, xiT, xiL := 0.5, -0.25, 1.5
-	g, c, rhs := sys.Realize(xiW, xiT, xiL)
+	g, c, rhs := sys.Realize([]float64{xiW, xiT, xiL})
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			wantG := sys.Ga.At(i, j) + xiW*sys.Gw.At(i, j) + xiT*sys.Gt.At(i, j)
+			wantG := sys.Ga.At(i, j) + xiW*sys.GSens[Dim3W].At(i, j) + xiT*sys.GSens[Dim3T].At(i, j)
 			if math.Abs(g.At(i, j)-wantG) > 1e-13 {
 				t.Errorf("G(%d,%d) = %g, want %g", i, j, g.At(i, j), wantG)
 			}
-			wantC := sys.Ca.At(i, j) + xiL*sys.Cc.At(i, j)
+			wantC := sys.Ca.At(i, j) + xiL*sys.CSens[Dim3L].At(i, j)
 			if math.Abs(c.At(i, j)-wantC) > 1e-25 {
 				t.Errorf("C(%d,%d) mismatch", i, j)
 			}
@@ -383,7 +380,7 @@ func TestThreeVarRealize(t *testing.T) {
 	uw := make([]float64, 2)
 	ut := make([]float64, 2)
 	uc := make([]float64, 2)
-	sys.RHS(0, ua, uw, ut, uc)
+	sys.RHS(0, ua, [][]float64{uw, ut, uc})
 	for i := range u {
 		want := ua[i] + xiW*uw[i] + xiT*ut[i] + xiL*uc[i]
 		if math.Abs(u[i]-want) > 1e-14 {

@@ -58,97 +58,22 @@ func (s SpatialSpec) Validate() error {
 	return nil
 }
 
-// SpatialSystem is the stamped intra-die system: independent principal
-// dimensions zG (geometry field) followed by zL (Leff field).
-type SpatialSystem struct {
-	N   int
-	Ga  *sparse.Matrix
-	Ca  *sparse.Matrix
-	VDD float64
-
-	// DimsG + DimsL = Dims independent chaos dimensions.
-	Dims, DimsG, DimsL int
-
-	// GSens[k] = ∂G/∂z_k (nil where zero); CSens likewise for C. The
-	// geometry dims occupy k < DimsG, the Leff dims k >= DimsG.
-	GSens []*sparse.Matrix
-	CSens []*sparse.Matrix
-
-	// iSens[k][region] scales each source's current sensitivity.
-	iSens [][]float64
-
-	netlist *netlist.Netlist
-	padBase []float64
-	// padSens[k] = ∂(pad injection)/∂z_k (geometry dims only).
-	padSens [][]float64
-	regions int
-}
-
 // BuildSpatial stamps the netlist under the intra-die spatial model.
-// Every on-die resistor and gate capacitor must carry a Region tag in
-// range (the generator's grids do); pads attach to the region of their
-// node via the resistive stamps and are treated as region-free (package
-// metal), except that their on-die effective conductance follows the
-// mean field, i.e. remains deterministic here for simplicity.
-func BuildSpatial(nl *netlist.Netlist, spec SpatialSpec) (*SpatialSystem, error) {
-	if err := nl.Validate(); err != nil {
-		return nil, err
-	}
+// The System's K variables are the independent principal components of
+// the geometry field, z_0..z_{D−1}, followed by those of the Leff field,
+// z_D..z_{2D−1}, where D is the truncated component count. Every on-die
+// resistor, gate capacitor and Leff-sensitive current source must carry
+// a Region tag in range (the generator's grids do); a source with a
+// negative Region is unassigned and does not vary. Pads attach to the
+// region of their node via the resistive stamps and are treated as
+// region-free (package metal), except that their on-die effective
+// conductance follows the mean field, i.e. remains deterministic here
+// for simplicity.
+func BuildSpatial(nl *netlist.Netlist, spec SpatialSpec) (*System, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	nreg := spec.RegionsPerAxis * spec.RegionsPerAxis
-	n := nl.NumNodes
-	// Nominal matrices and per-region sensitivity stamps.
-	ga := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
-	ca := sparse.NewTriplet(n, n, 4*len(nl.Caps))
-	gReg := make([]*sparse.Triplet, nreg)
-	cReg := make([]*sparse.Triplet, nreg)
-	for r := 0; r < nreg; r++ {
-		gReg[r] = sparse.NewTriplet(n, n, 16)
-		cReg[r] = sparse.NewTriplet(n, n, 16)
-	}
-	stamp := func(t *sparse.Triplet, a, b int, v float64) {
-		if a != netlist.Ground {
-			t.Add(a, a, v)
-		}
-		if b != netlist.Ground {
-			t.Add(b, b, v)
-		}
-		if a != netlist.Ground && b != netlist.Ground {
-			t.Add(a, b, -v)
-			t.Add(b, a, -v)
-		}
-	}
-	for _, r := range nl.Resistors {
-		g := 1 / r.Ohms
-		stamp(ga, r.A, r.B, g)
-		if r.OnDie {
-			if r.Region < 0 || r.Region >= nreg {
-				return nil, fmt.Errorf("mna: resistor %q region %d outside [0,%d)", r.Name, r.Region, nreg)
-			}
-			stamp(gReg[r.Region], r.A, r.B, g)
-		}
-	}
-	for _, c := range nl.Caps {
-		stamp(ca, c.A, c.B, c.Farads)
-		if c.GateFrac > 0 {
-			if c.Region < 0 || c.Region >= nreg {
-				return nil, fmt.Errorf("mna: capacitor %q region %d outside [0,%d)", c.Name, c.Region, nreg)
-			}
-			stamp(cReg[c.Region], c.A, c.B, c.Farads*c.GateFrac)
-		}
-	}
-	padBase := make([]float64, n)
-	vdd := 0.0
-	for _, p := range nl.Pads {
-		g := 1 / p.Rpin
-		ga.Add(p.Node, p.Node, g)
-		padBase[p.Node] += g * p.VDD
-		if p.VDD > vdd {
-			vdd = p.VDD
-		}
-	}
 	// Spatial covariance over the region grid and its PCA.
 	cov := spatialCovariance(spec.RegionsPerAxis, spec.CorrLength)
 	pca, err := randvar.NewPCA(make([]float64, nreg), cov)
@@ -160,6 +85,39 @@ func BuildSpatial(nl *netlist.Netlist, spec SpatialSpec) (*SpatialSystem, error)
 		cut = 0.99
 	}
 	dims := truncateDims(pca.Lambda, cut, spec.MaxDims)
+	sys, err := nominal(nl, 2*dims)
+	if err != nil {
+		return nil, err
+	}
+	n := sys.N
+	// Per-region sensitivity stamps.
+	gReg := make([]*sparse.Triplet, nreg)
+	cReg := make([]*sparse.Triplet, nreg)
+	for r := 0; r < nreg; r++ {
+		gReg[r] = sparse.NewTriplet(n, n, 16)
+		cReg[r] = sparse.NewTriplet(n, n, 16)
+	}
+	for _, r := range nl.Resistors {
+		if r.OnDie {
+			if r.Region < 0 || r.Region >= nreg {
+				return nil, fmt.Errorf("mna: resistor %q region %d outside [0,%d)", r.Name, r.Region, nreg)
+			}
+			stamp(gReg[r.Region], r.A, r.B, 1/r.Ohms)
+		}
+	}
+	for _, c := range nl.Caps {
+		if c.GateFrac > 0 {
+			if c.Region < 0 || c.Region >= nreg {
+				return nil, fmt.Errorf("mna: capacitor %q region %d outside [0,%d)", c.Name, c.Region, nreg)
+			}
+			stamp(cReg[c.Region], c.A, c.B, c.Farads*c.GateFrac)
+		}
+	}
+	for _, src := range nl.Sources {
+		if src.LeffSens != 0 && src.Region >= nreg {
+			return nil, fmt.Errorf("mna: current source %q region %d outside [0,%d)", src.Name, src.Region, nreg)
+		}
+	}
 	// Per-principal-dimension weights w_k[r] = √λ_k·V[k][r].
 	weight := func(k, r int) float64 {
 		return math.Sqrt(pca.Lambda[k]) * pca.Vecs[k][r]
@@ -170,15 +128,6 @@ func BuildSpatial(nl *netlist.Netlist, spec SpatialSpec) (*SpatialSystem, error)
 		gRegM[r] = gReg[r].Compile()
 		cRegM[r] = cReg[r].Compile()
 	}
-	sys := &SpatialSystem{
-		N: n, Ga: ga.Compile(), Ca: ca.Compile(), VDD: vdd,
-		DimsG: dims, DimsL: dims, Dims: 2 * dims,
-		netlist: nl, padBase: padBase, regions: nreg,
-	}
-	sys.GSens = make([]*sparse.Matrix, sys.Dims)
-	sys.CSens = make([]*sparse.Matrix, sys.Dims)
-	sys.iSens = make([][]float64, sys.Dims)
-	sys.padSens = make([][]float64, sys.Dims)
 	for k := 0; k < dims; k++ {
 		// Geometry dim k: conductance field.
 		acc := sparse.NewMatrix(n, n)
@@ -188,8 +137,10 @@ func BuildSpatial(nl *netlist.Netlist, spec SpatialSpec) (*SpatialSystem, error)
 				acc = sparse.Add(1, acc, w, gRegM[r])
 			}
 		}
-		sys.GSens[k] = acc
-		// Leff dim (offset by DimsG): gate capacitance + currents.
+		if acc.NNZ() > 0 {
+			sys.GSens[k] = acc
+		}
+		// Leff dim (offset by dims): gate capacitance + currents.
 		accC := sparse.NewMatrix(n, n)
 		for r := 0; r < nreg; r++ {
 			w := spec.KCL * weight(k, r)
@@ -197,12 +148,16 @@ func BuildSpatial(nl *netlist.Netlist, spec SpatialSpec) (*SpatialSystem, error)
 				accC = sparse.Add(1, accC, w, cRegM[r])
 			}
 		}
-		sys.CSens[dims+k] = accC
-		is := make([]float64, nreg)
-		for r := 0; r < nreg; r++ {
-			is[r] = spec.KIL * weight(k, r)
+		if accC.NNZ() > 0 {
+			sys.CSens[dims+k] = accC
 		}
-		sys.iSens[dims+k] = is
+		is := make([]float64, len(nl.Sources))
+		for j, src := range nl.Sources {
+			if src.LeffSens != 0 && src.Region >= 0 {
+				is[j] = spec.KIL * weight(k, src.Region)
+			}
+		}
+		sys.srcSens[dims+k] = is
 	}
 	return sys, nil
 }
@@ -264,75 +219,4 @@ func truncateDims(lambda []float64, cutoff float64, maxDims int) int {
 		dims = 1
 	}
 	return dims
-}
-
-// RHS fills ua and the per-dimension excitation sensitivities (length
-// Dims; entries may be nil to skip).
-func (s *SpatialSystem) RHS(t float64, ua []float64, sens [][]float64) {
-	if ua != nil {
-		copy(ua, s.padBase)
-	}
-	for k := range sens {
-		if sens[k] != nil {
-			for i := range sens[k] {
-				sens[k][i] = 0
-			}
-		}
-	}
-	for _, src := range s.netlist.Sources {
-		iv := src.Wave.At(t)
-		if ua != nil {
-			ua[src.A] -= iv
-		}
-		if src.LeffSens == 0 || src.Region < 0 {
-			continue
-		}
-		for k := range sens {
-			if sens[k] == nil || s.iSens[k] == nil {
-				continue
-			}
-			sens[k][src.A] -= iv * src.LeffSens * s.iSens[k][src.Region]
-		}
-	}
-}
-
-// Realize returns deterministic matrices and RHS for one draw of the
-// principal variables z (length Dims).
-func (s *SpatialSystem) Realize(z []float64) (g, c *sparse.Matrix, rhs func(t float64, u []float64)) {
-	if len(z) != s.Dims {
-		panic(fmt.Sprintf("mna: Realize needs %d variables, got %d", s.Dims, len(z)))
-	}
-	g = s.Ga
-	for k, zk := range z {
-		if s.GSens[k] != nil && s.GSens[k].NNZ() > 0 && zk != 0 {
-			g = sparse.Add(1, g, zk, s.GSens[k])
-		}
-	}
-	c = s.Ca
-	for k, zk := range z {
-		if s.CSens[k] != nil && s.CSens[k].NNZ() > 0 && zk != 0 {
-			c = sparse.Add(1, c, zk, s.CSens[k])
-		}
-	}
-	if g == s.Ga {
-		g = s.Ga.Clone()
-	}
-	if c == s.Ca {
-		c = s.Ca.Clone()
-	}
-	ua := make([]float64, s.N)
-	sens := make([][]float64, s.Dims)
-	for k := range sens {
-		sens[k] = make([]float64, s.N)
-	}
-	rhs = func(t float64, u []float64) {
-		s.RHS(t, ua, sens)
-		for i := range u {
-			u[i] = ua[i]
-			for k, zk := range z {
-				u[i] += zk * sens[k][i]
-			}
-		}
-	}
-	return g, c, rhs
 }

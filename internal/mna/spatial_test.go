@@ -92,15 +92,17 @@ func TestBuildSpatialDimsAndSensitivities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Independent 4 regions → 4 dims per field.
-	if sys.DimsG != 4 || sys.DimsL != 4 || sys.Dims != 8 {
-		t.Fatalf("dims %d/%d/%d", sys.DimsG, sys.DimsL, sys.Dims)
+	// Independent 4 regions → 4 dims per field: geometry dims k < 4,
+	// Leff dims k >= 4.
+	if sys.Dims() != 8 {
+		t.Fatalf("dims %d", sys.Dims())
 	}
+	dimsG := sys.Dims() / 2
 	// Geometry dims carry G sensitivity (except the principal direction
 	// of region 3, which holds no resistors in this grid) and never C
 	// sensitivity; Leff dims the reverse.
 	withG := 0
-	for k := 0; k < sys.DimsG; k++ {
+	for k := 0; k < dimsG; k++ {
 		if sys.GSens[k] != nil && sys.GSens[k].NNZ() > 0 {
 			withG++
 		}
@@ -111,7 +113,7 @@ func TestBuildSpatialDimsAndSensitivities(t *testing.T) {
 	if withG != 3 { // resistors tagged into regions 0, 1, 2 only
 		t.Errorf("%d geometry dims carry G sensitivity, want 3", withG)
 	}
-	for k := sys.DimsG; k < sys.Dims; k++ {
+	for k := dimsG; k < sys.Dims(); k++ {
 		if sys.CSens[k] == nil || sys.CSens[k].NNZ() == 0 {
 			t.Errorf("Leff dim %d has no C sensitivity", k)
 		}
@@ -123,7 +125,10 @@ func TestBuildSpatialDimsAndSensitivities(t *testing.T) {
 	// region stamps)² — check one entry: resistor a spans nodes 0-1 in
 	// region 0: Var(∂g00) = Σ_k (KG·w_k[0])² = KG²·Cov[0][0] = KG².
 	tot := 0.0
-	for k := 0; k < sys.DimsG; k++ {
+	for k := 0; k < dimsG; k++ {
+		if sys.GSens[k] == nil {
+			continue // no resistor of this principal direction
+		}
 		v := sys.GSens[k].At(0, 0)
 		tot += v * v
 	}
@@ -141,6 +146,22 @@ func TestBuildSpatialRejectsUntaggedElements(t *testing.T) {
 	}); err == nil {
 		t.Error("untagged on-die resistor accepted")
 	}
+	// A Leff-sensitive source tagged beyond the region map must be
+	// rejected at build time, not index out of range in the solve; a
+	// negative tag means unassigned and stays legal.
+	nl = spatialTestGrid()
+	nl.Sources[0].Region = 7
+	if _, err := BuildSpatial(nl, SpatialSpec{
+		RegionsPerAxis: 2, KG: 0.1, KIL: 0.1, CorrLength: 1,
+	}); err == nil {
+		t.Error("out-of-range source region accepted")
+	}
+	nl.Sources[0].Region = -1
+	if _, err := BuildSpatial(nl, SpatialSpec{
+		RegionsPerAxis: 2, KG: 0.1, KIL: 0.1, CorrLength: 1,
+	}); err != nil {
+		t.Errorf("unassigned source rejected: %v", err)
+	}
 }
 
 func TestSpatialRealizeZeroIsNominal(t *testing.T) {
@@ -151,7 +172,7 @@ func TestSpatialRealizeZeroIsNominal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := make([]float64, sys.Dims)
+	z := make([]float64, sys.Dims())
 	g, c, rhs := sys.Realize(z)
 	for i := 0; i < sys.N; i++ {
 		for j := 0; j < sys.N; j++ {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"opera/internal/netlist"
-	"opera/internal/sparse"
 )
 
 // ThreeVarSpec holds separate first-order sensitivities for the width
@@ -45,22 +44,8 @@ func (s ThreeVarSpec) Combine() VariationSpec {
 	}
 }
 
-// ThreeVarSystem is the stamped Eq. 13 system with random dimensions
-// (ξW, ξT, ξL).
-type ThreeVarSystem struct {
-	N          int
-	Ga, Gw, Gt *sparse.Matrix
-	Ca, Cc     *sparse.Matrix
-	VDD        float64
-
-	netlist *netlist.Netlist
-	spec    ThreeVarSpec
-	padBase []float64
-	padW    []float64
-	padT    []float64
-}
-
-// Dimension indices of the three-variable model.
+// Dimension indices of the three-variable model built by
+// BuildThreeVar.
 const (
 	Dim3W = 0
 	Dim3T = 1
@@ -68,111 +53,8 @@ const (
 	Dims3 = 3
 )
 
-// BuildThreeVar stamps the netlist in the separated Eq. 13 form.
-func BuildThreeVar(nl *netlist.Netlist, spec ThreeVarSpec) (*ThreeVarSystem, error) {
-	if err := nl.Validate(); err != nil {
-		return nil, err
-	}
-	n := nl.NumNodes
-	ga := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
-	gw := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
-	gt := sparse.NewTriplet(n, n, 4*len(nl.Resistors)+len(nl.Pads))
-	ca := sparse.NewTriplet(n, n, 4*len(nl.Caps))
-	cc := sparse.NewTriplet(n, n, 4*len(nl.Caps))
-	stamp := func(t *sparse.Triplet, a, b int, v float64) {
-		if a != netlist.Ground {
-			t.Add(a, a, v)
-		}
-		if b != netlist.Ground {
-			t.Add(b, b, v)
-		}
-		if a != netlist.Ground && b != netlist.Ground {
-			t.Add(a, b, -v)
-			t.Add(b, a, -v)
-		}
-	}
-	for _, r := range nl.Resistors {
-		g := 1 / r.Ohms
-		stamp(ga, r.A, r.B, g)
-		if r.OnDie {
-			stamp(gw, r.A, r.B, g*spec.KW)
-			stamp(gt, r.A, r.B, g*spec.KT)
-		}
-	}
-	for _, c := range nl.Caps {
-		stamp(ca, c.A, c.B, c.Farads)
-		if c.GateFrac > 0 {
-			stamp(cc, c.A, c.B, c.Farads*c.GateFrac*spec.KCL)
-		}
-	}
-	padBase := make([]float64, n)
-	padW := make([]float64, n)
-	padT := make([]float64, n)
-	vdd := 0.0
-	for _, p := range nl.Pads {
-		g := 1 / p.Rpin
-		ga.Add(p.Node, p.Node, g)
-		padBase[p.Node] += g * p.VDD
-		if p.OnDie {
-			gw.Add(p.Node, p.Node, g*spec.KW)
-			gt.Add(p.Node, p.Node, g*spec.KT)
-			padW[p.Node] += g * p.VDD * spec.KW
-			padT[p.Node] += g * p.VDD * spec.KT
-		}
-		if p.VDD > vdd {
-			vdd = p.VDD
-		}
-	}
-	return &ThreeVarSystem{
-		N: n, Ga: ga.Compile(), Gw: gw.Compile(), Gt: gt.Compile(),
-		Ca: ca.Compile(), Cc: cc.Compile(), VDD: vdd,
-		netlist: nl, spec: spec, padBase: padBase, padW: padW, padT: padT,
-	}, nil
-}
-
-// RHS fills the excitation decomposition u(t,ξ) = ua + uw·ξW + ut·ξT +
-// uc·ξL. Any output may be nil.
-func (s *ThreeVarSystem) RHS(t float64, ua, uw, ut, uc []float64) {
-	if ua != nil {
-		copy(ua, s.padBase)
-	}
-	if uw != nil {
-		copy(uw, s.padW)
-	}
-	if ut != nil {
-		copy(ut, s.padT)
-	}
-	if uc != nil {
-		for i := range uc {
-			uc[i] = 0
-		}
-	}
-	for _, src := range s.netlist.Sources {
-		i := src.Wave.At(t)
-		if ua != nil {
-			ua[src.A] -= i
-		}
-		if uc != nil && src.LeffSens != 0 {
-			uc[src.A] -= i * src.LeffSens * s.spec.KIL
-		}
-	}
-}
-
-// Realize returns the deterministic matrices and RHS for one
-// realization (ξW, ξT, ξL).
-func (s *ThreeVarSystem) Realize(xiW, xiT, xiL float64) (g, c *sparse.Matrix, rhs func(t float64, u []float64)) {
-	g = sparse.Add(1, s.Ga, xiW, s.Gw)
-	g = sparse.Add(1, g, xiT, s.Gt)
-	c = sparse.Add(1, s.Ca, xiL, s.Cc)
-	ua := make([]float64, s.N)
-	uw := make([]float64, s.N)
-	ut := make([]float64, s.N)
-	uc := make([]float64, s.N)
-	rhs = func(t float64, u []float64) {
-		s.RHS(t, ua, uw, ut, uc)
-		for i := range u {
-			u[i] = ua[i] + xiW*uw[i] + xiT*ut[i] + xiL*uc[i]
-		}
-	}
-	return g, c, rhs
+// BuildThreeVar stamps the netlist in the separated Eq. 13 form over
+// (ξW, ξT, ξL).
+func BuildThreeVar(nl *netlist.Netlist, spec ThreeVarSpec) (*System, error) {
+	return buildInterDie(nl, []float64{spec.KW, spec.KT}, spec.KCL, spec.KIL)
 }

@@ -11,9 +11,9 @@
 // Samples are independent, so the loop fans out across a worker pool.
 // The run is deterministic by construction, not by luck:
 //
-//   - Sample k draws its (ξG, ξL) from randvar.NewStream(Seed, k) — a
-//     private substream keyed by the sample index, so the draws do not
-//     depend on which worker runs the sample or in what order.
+//   - Sample k draws its K variables from randvar.NewStream(Seed, k) —
+//     a private substream keyed by the sample index, so the draws do
+//     not depend on which worker runs the sample or in what order.
 //   - Samples are grouped into fixed-size chunks (boundaries depend
 //     only on the sample count), each chunk accumulates into a private
 //     moment shard, and shards merge into the global accumulators in
@@ -213,8 +213,8 @@ type mcShard struct {
 	hi  int                 // one past the last sample
 }
 
-// Run executes the Monte Carlo experiment over the two-variable
-// (ξG, ξL) Gaussian model of a stamped MNA system.
+// Run executes the Monte Carlo experiment over the K independent
+// Gaussian variables of a stamped MNA system, for any variation model.
 func Run(sys *mna.System, opts Options) (*Result, error) {
 	if err := opts.Validate(sys.N); err != nil {
 		return nil, err
@@ -276,7 +276,7 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 
 	var lhsDraws [][]float64
 	if opts.LatinHypercube {
-		lhsDraws = randvar.LatinHypercubeNormal(randvar.NewStream(opts.Seed, 0), opts.Samples, mna.Dims)
+		lhsDraws = randvar.LatinHypercubeNormal(randvar.NewStream(opts.Seed, 0), opts.Samples, sys.Dims())
 	}
 
 	// Per-worker mutable state: the recycled numeric factor and the
@@ -311,6 +311,7 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 			}
 		}
 		u := make([]float64, n)
+		z := make([]float64, sys.Dims())
 		for k := sh.lo; k < sh.hi; k++ {
 			if err := cancel.Poll(opts.Ctx, "montecarlo", k); err != nil {
 				return nil, err
@@ -319,8 +320,8 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 			if sampleMS != nil {
 				sampleStart = time.Now()
 			}
-			xiG, xiL := drawSample(opts, lhsDraws, k)
-			g, c, rhs := sys.Realize(xiG, xiL)
+			drawSample(opts, lhsDraws, k, z)
+			g, c, rhs := sys.Realize(z)
 			st, err := transient.NewStepper(g, c, transient.Options{
 				Step: opts.Step, Steps: opts.Steps, Method: opts.Method,
 				Symbolic: sym, ReuseFactor: reuse[worker], Obs: opts.Obs,
@@ -442,16 +443,20 @@ func snapshot(res *Result, acc [][]randvar.Running, opts Options, n, next int) *
 	return cp
 }
 
-// drawSample produces sample k's parameter realization. In i.i.d. mode
-// each sample owns the substream keyed by its index — two NormFloat64
-// draws from a stream no other sample touches — so the value depends
-// only on (Seed, k). Latin hypercube mode reads the precomputed table.
-func drawSample(opts Options, lhs [][]float64, k int) (xiG, xiL float64) {
+// drawSample fills z with sample k's parameter realization. In i.i.d.
+// mode each sample owns the substream keyed by its index — len(z)
+// NormFloat64 draws from a stream no other sample touches — so the
+// value depends only on (Seed, k). Latin hypercube mode reads the
+// precomputed table.
+func drawSample(opts Options, lhs [][]float64, k int, z []float64) {
 	if lhs != nil {
-		return lhs[k][0], lhs[k][1]
+		copy(z, lhs[k])
+		return
 	}
 	rng := randvar.NewStream(opts.Seed, int64(k))
-	return rng.NormFloat64(), rng.NormFloat64()
+	for d := range z {
+		z[d] = rng.NormFloat64()
+	}
 }
 
 // record pushes sample k's state at one step into the chunk-private

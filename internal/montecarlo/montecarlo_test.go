@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,6 +12,16 @@ import (
 )
 
 func testGrid() *mna.System {
+	sys, err := mna.Build(testNetlist(), mna.DefaultSpec())
+	if err != nil {
+		panic(err)
+	}
+	return sys
+}
+
+// testNetlist is a 4x4 mesh with one pad and one pulsed drain, every
+// element in region 0.
+func testNetlist() *netlist.Netlist {
 	id := func(r, c int) int { return r*4 + c }
 	nl := &netlist.Netlist{NumNodes: 16}
 	n := 0
@@ -39,11 +50,7 @@ func testGrid() *mna.System {
 		}, LeffSens: 1, Region: 0},
 	}
 	nl.Pads = []netlist.Pad{{Name: "p", Node: 0, VDD: 1.2, Rpin: 0.1, OnDie: true}}
-	sys, err := mna.Build(nl, mna.DefaultSpec())
-	if err != nil {
-		panic(err)
-	}
-	return sys
+	return nl
 }
 
 func TestRunBasicStatistics(t *testing.T) {
@@ -221,7 +228,26 @@ func TestValidateRejectsBadTrackNodes(t *testing.T) {
 // TestParallelDeterminism is the tentpole's acceptance criterion: the
 // full result tensors must be bit-identical across worker counts.
 func TestParallelDeterminism(t *testing.T) {
-	sys := testGrid()
+	three, err := mna.BuildThreeVar(testNetlist(), mna.DefaultThreeVarSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spatial, err := mna.BuildSpatial(testNetlist(), mna.SpatialSpec{
+		RegionsPerAxis: 2, KG: 0.25 / 3, KCL: 0.20 / 3, KIL: 0.20 / 3,
+		CorrLength: 1, MaxDims: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*mna.System{testGrid(), three, spatial} {
+		t.Run(fmt.Sprintf("K=%d", sys.Dims()), func(t *testing.T) {
+			assertWorkerCountInvariant(t, sys)
+		})
+	}
+}
+
+func assertWorkerCountInvariant(t *testing.T, sys *mna.System) {
+	t.Helper()
 	base := Options{Samples: 61, Step: 5e-11, Steps: 8, Seed: 42, TrackNodes: []int{15}}
 	var ref *Result
 	for _, w := range []int{1, 2, 4} {
