@@ -72,25 +72,34 @@ func main() {
 	pattern := uniSys.UnionPattern()
 	comp := sparse.Add(1, pattern, 1/opts.Step, pattern)
 	sym := factor.CholAnalyzeSupernodal(comp, order.Permute(opts.Ordering, comp), -1)
-	var reuse *factor.SuperFactor
+	// Each sample refills one G, C pair through the fill plan and
+	// refactors one stepper in place; the excitation is tabulated once.
+	plan := uniSys.Plan()
+	exc := uniSys.Tabulate(opts.Step, opts.Steps)
+	g, c := plan.Matrices()
+	u := make([]float64, uniSys.N)
+	var st *transient.Stepper
 	for k := 0; k < samples; k++ {
 		xiG := 2*rng.Float64() - 1
 		xiL := 2*rng.Float64() - 1
-		g, c, rhs := uniSys.Realize([]float64{xiG, xiL})
-		st, err := transient.NewStepper(g, c, transient.Options{
-			Step: opts.Step, Steps: opts.Steps, Symbolic: sym, ReuseFactor: reuse,
-		})
+		z := []float64{xiG, xiL}
+		plan.Fill(z, g, c)
+		if st == nil {
+			st, err = transient.NewStepper(g, c, transient.Options{
+				Step: opts.Step, Steps: opts.Steps, Symbolic: sym,
+			})
+		} else {
+			err = st.Refactor()
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		reuse = st.Factor()
-		u := make([]float64, uniSys.N)
-		rhs(0, u)
+		exc.At(0, z, u)
 		if err := st.InitDC(u); err != nil {
 			log.Fatal(err)
 		}
 		for s := 1; s <= opts.Steps; s++ {
-			rhs(float64(s)*opts.Step, u)
+			exc.At(s, z, u)
 			if err := st.Advance(u); err != nil {
 				log.Fatal(err)
 			}

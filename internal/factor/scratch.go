@@ -26,3 +26,20 @@ func getScratch(n int) *[]float64 {
 }
 
 func putScratch(v *[]float64) { solveScratch.Put(v) }
+
+// updateScratch pools the supernodal update workspaces, so a worker
+// that refactors one pattern sample after sample, as Monte Carlo does,
+// reuses one instead of allocating it per factorization.
+var updateScratch sync.Pool
+
+// getSuperScratch returns a pooled update workspace sized for sym.
+func getSuperScratch(sym *SuperSymbolic) *superScratch {
+	nw, nr := sym.maxRows*sym.maxWidth, sym.maxRows
+	if sc, _ := updateScratch.Get().(*superScratch); sc != nil && cap(sc.w) >= nw && cap(sc.relind) >= nr {
+		sc.w, sc.relind = sc.w[:nw], sc.relind[:nr]
+		return sc
+	}
+	return &superScratch{w: make([]float64, nw), relind: make([]int, nr)}
+}
+
+func putSuperScratch(sc *superScratch) { updateScratch.Put(sc) }

@@ -2,6 +2,7 @@ package factor
 
 import (
 	"fmt"
+	"sort"
 
 	"opera/internal/sparse"
 )
@@ -24,7 +25,9 @@ type SuperSymbolic struct {
 	Perm []int // fill-reducing permutation; nil = natural
 
 	relax int
-	upper *sparse.Matrix // permuted upper triangle (pattern)
+	// lower is the pattern (no values) of the permuted lower triangle:
+	// the transposed upper triangle FactorLower reads.
+	lower *sparse.Matrix
 
 	snode  []int // column -> supernode id
 	sstart []int // supernode s spans columns [sstart[s], sstart[s+1])
@@ -105,7 +108,9 @@ func CholAnalyzeSupernodal(a *sparse.Matrix, perm []int, relax int) *SuperSymbol
 		}
 	}
 
-	sym := &SuperSymbolic{N: n, relax: relax, upper: u, colcount: count}
+	lower := u.Transpose()
+	lower.Val = nil
+	sym := &SuperSymbolic{N: n, relax: relax, lower: lower, colcount: count}
 	if perm != nil {
 		sym.Perm = append([]int(nil), perm...)
 	}
@@ -251,6 +256,61 @@ func CholAnalyzeSupernodal(a *sparse.Matrix, perm []int, relax int) *SuperSymbol
 	return sym
 }
 
+// Lower returns a zero-valued matrix on the analysis's permuted lower
+// triangle: the CSC form FactorLower reads, with rows ascending and the
+// diagonal first in every column. LowerSlots says where each entry of
+// a matrix on the analyzed pattern goes in it. Only Val belongs to the
+// caller: Colp and Rowi are the analysis's own and must not be
+// modified.
+func (s *SuperSymbolic) Lower() *sparse.Matrix {
+	return &sparse.Matrix{Rows: s.N, Cols: s.N, Colp: s.lower.Colp, Rowi: s.lower.Rowi, Val: make([]float64, len(s.lower.Rowi))}
+}
+
+// LowerSlots maps the stored entries of a symmetric matrix a (full
+// pattern, sorted columns) into the values of Lower: slot[p] is where
+// a's entry p lands once P·A·Pᵀ is split into its upper triangle and
+// transposed, or -1 for an entry the permutation puts strictly below
+// the diagonal (only the upper half is read). An entry outside the
+// analyzed pattern is an error. A caller that refactors one pattern
+// under many value sets builds the map once and refills Lower through
+// it, instead of permuting every set.
+func (s *SuperSymbolic) LowerSlots(a *sparse.Matrix) ([]int, error) {
+	n := s.N
+	if a.Rows != n || a.Cols != n {
+		return nil, fmt.Errorf("factor: matrix is %dx%d, analyzed %d", a.Rows, a.Cols, n)
+	}
+	var inv []int
+	if s.Perm != nil {
+		inv = sparse.InversePerm(s.Perm)
+	}
+	at := func(i int) int {
+		if inv == nil {
+			return i
+		}
+		return inv[i]
+	}
+	lo := s.lower
+	slot := make([]int, a.NNZ())
+	for j := 0; j < n; j++ {
+		pj := at(j)
+		for p := a.Colp[j]; p < a.Colp[j+1]; p++ {
+			pi := at(a.Rowi[p])
+			if pi > pj {
+				slot[p] = -1
+				continue
+			}
+			// Upper entry (pi, pj) is lower entry (pj, pi).
+			beg, end := lo.Colp[pi], lo.Colp[pi+1]
+			q := beg + sort.SearchInts(lo.Rowi[beg:end], pj)
+			if q == end || lo.Rowi[q] != pj {
+				return nil, fmt.Errorf("factor: entry (%d,%d) outside the analyzed pattern", a.Rowi[p], j)
+			}
+			slot[p] = q
+		}
+	}
+	return slot, nil
+}
+
 // Supernodes reports the number of supernodes in the partition.
 func (s *SuperSymbolic) Supernodes() int { return len(s.sstart) - 1 }
 
@@ -276,7 +336,7 @@ func (s *SuperSymbolic) FlopEstimate() int64 {
 
 // FillRatio reports nnz(L)/nnz(upper(A)) on the exact scalar pattern.
 func (s *SuperSymbolic) FillRatio() float64 {
-	annz := s.upper.Colp[s.upper.Cols]
+	annz := s.lower.NNZ()
 	if annz == 0 {
 		return 0
 	}

@@ -26,29 +26,43 @@ type superScratch struct {
 }
 
 // Factorize numerically factors a, which must share the analyzed
-// pattern (entries may be missing numerically). reuse, when non-nil
-// and produced from the same analysis, recycles the panel storage.
-// workers caps the supernode task pool (≤1 = serial); the resulting
-// factor is bit-identical for every worker count because each
-// supernode applies its pending updates in a fixed ascending order no
-// matter which worker runs it.
+// pattern (entries may be missing numerically): it permutes a into the
+// lower triangle of the analysis (Lower, LowerSlots) and factors that
+// with FactorLower.
 func (sym *SuperSymbolic) Factorize(a *sparse.Matrix, reuse *SuperFactor, workers int) (*SuperFactor, error) {
+	slot, err := sym.LowerSlots(a)
+	if err != nil {
+		return nil, err
+	}
+	lower := sym.Lower()
+	for p, q := range slot {
+		if q >= 0 {
+			lower.Val[q] = a.Val[p]
+		}
+	}
+	return sym.FactorLower(lower, reuse, workers)
+}
+
+// FactorLower numerically factors the matrix whose permuted lower
+// triangle is lower, a Lower refilled through LowerSlots; callers that
+// refactor one pattern many times refill it in place instead of
+// permuting every value set. reuse, when non-nil and produced from the
+// same analysis, recycles the panel storage. workers caps the
+// supernode task pool (≤1 = serial); the resulting factor is
+// bit-identical for every worker count because each supernode applies
+// its pending updates in a fixed ascending order no matter which
+// worker runs it.
+func (sym *SuperSymbolic) FactorLower(lower *sparse.Matrix, reuse *SuperFactor, workers int) (*SuperFactor, error) {
 	pick := func(m *factorMetrics) *obs.Histogram { return m.superChol }
 	if reuse != nil {
 		pick = func(m *factorMetrics) *obs.Histogram { return m.refactor }
 	}
 	defer observe(pick)()
 	n := sym.N
-	if a.Rows != n || a.Cols != n {
-		return nil, fmt.Errorf("factor: Factorize matrix is %dx%d, analyzed %d", a.Rows, a.Cols, n)
+	if lower.Rows != n || lower.Cols != n || lower.NNZ() != sym.lower.NNZ() {
+		return nil, fmt.Errorf("factor: lower triangle is %dx%d with %d entries, analyzed %d with %d",
+			lower.Rows, lower.Cols, lower.NNZ(), n, sym.lower.NNZ())
 	}
-	c := a
-	if sym.Perm != nil {
-		c = a.SymPerm(sym.Perm)
-	}
-	// The panel scatter wants lower-triangle columns; transposing the
-	// upper triangle yields them with ascending, diagonal-first rows.
-	lower := c.UpperTriangle().Transpose()
 	f := reuse
 	if f == nil || f.Sym != sym {
 		f = &SuperFactor{Sym: sym, val: make([]float64, sym.PanelNNZ())}
@@ -59,10 +73,7 @@ func (sym *SuperSymbolic) Factorize(a *sparse.Matrix, reuse *SuperFactor, worker
 	}
 	var err error
 	if workers <= 1 {
-		sc := &superScratch{
-			w:      make([]float64, sym.maxRows*sym.maxWidth),
-			relind: make([]int, sym.maxRows),
-		}
+		sc := getSuperScratch(sym)
 		// Ascending supernode order is a topological order of the update
 		// DAG: every updater of s is a descendant with smaller columns.
 		for s := 0; s < ns; s++ {
@@ -70,6 +81,7 @@ func (sym *SuperSymbolic) Factorize(a *sparse.Matrix, reuse *SuperFactor, worker
 				err = e
 			}
 		}
+		putSuperScratch(sc)
 	} else {
 		err = f.factorParallel(lower, workers)
 	}
@@ -107,10 +119,8 @@ func (f *SuperFactor) factorParallel(lower *sparse.Matrix, workers int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &superScratch{
-				w:      make([]float64, sym.maxRows*sym.maxWidth),
-				relind: make([]int, sym.maxRows),
-			}
+			sc := getSuperScratch(sym)
+			defer putSuperScratch(sc)
 			for s := range ready {
 				if e := f.factorSupernode(s, lower, sc); e != nil {
 					mu.Lock()
@@ -570,7 +580,8 @@ func (f *SuperFactor) L() *sparse.Matrix {
 	next := append([]int(nil), colp[:n]...)
 	// Reconstruct each column's exact pattern with the scalar symbolic
 	// machinery, then read the values out of the panels.
-	parent := etree(sym.upper)
+	upper := sym.Lower().Transpose()
+	parent := etree(upper)
 	s := make([]int, n)
 	w := make([]int, n)
 	for i := range w {
@@ -588,7 +599,7 @@ func (f *SuperFactor) L() *sparse.Matrix {
 		return f.val[sym.poff[sn]+(j-start)*nr+lo]
 	}
 	for k := 0; k < n; k++ {
-		for top := ereach(sym.upper, k, parent, s, w); top < n; top++ {
+		for top := ereach(upper, k, parent, s, w); top < n; top++ {
 			j := s[top]
 			l.Rowi[next[j]] = k
 			l.Val[next[j]] = at(k, j)

@@ -256,42 +256,28 @@ func (s *System) RHS(t float64, ua []float64, uk [][]float64) {
 }
 
 // Realize returns the deterministic matrices and RHS closure for one
-// realization z (length K) of the variation variables — the Monte Carlo
-// sample path. The returned matrices share no storage with the nominal
-// ones.
+// realization z (length K) of the variation variables, through a fresh
+// Plan. The returned matrices share no storage with the nominal ones.
+// A caller realizing many z builds the Plan and an Excitation once
+// instead, as the Monte Carlo baseline does; both give these values
+// bit for bit.
 func (s *System) Realize(z []float64) (g, c *sparse.Matrix, rhs func(t float64, u []float64)) {
 	if len(z) != s.Dims() {
 		panic(fmt.Sprintf("mna: Realize needs %d variables, got %d", s.Dims(), len(z)))
 	}
-	g, c = s.Ga, s.Ca
-	for k, zk := range z {
-		if s.GSens[k] != nil {
-			g = sparse.Add(1, g, zk, s.GSens[k])
-		}
-		if s.CSens[k] != nil {
-			c = sparse.Add(1, c, zk, s.CSens[k])
-		}
-	}
-	if g == s.Ga {
-		g = g.Clone()
-	}
-	if c == s.Ca {
-		c = c.Clone()
-	}
+	p := s.Plan()
+	g, c = p.Matrices()
+	p.Fill(z, g, c)
 	z = append([]float64(nil), z...) // rhs outlives the caller's draw buffer
-	ua := make([]float64, s.N)
+	n := s.N
+	row := make([]float64, (len(z)+1)*n)
 	uk := make([][]float64, len(z))
 	for k := range uk {
-		uk[k] = make([]float64, s.N)
+		uk[k] = row[(k+1)*n : (k+2)*n]
 	}
 	rhs = func(t float64, u []float64) {
-		s.RHS(t, ua, uk)
-		copy(u, ua)
-		for k, zk := range z {
-			for i, v := range uk[k] {
-				u[i] += zk * v
-			}
-		}
+		s.RHS(t, row[:n], uk)
+		superpose(u, row, z)
 	}
 	return g, c, rhs
 }

@@ -8,6 +8,7 @@ import (
 
 	"opera/internal/cancel"
 	"opera/internal/obs"
+	"opera/internal/transient"
 )
 
 // bitsEqual compares two moment matrices bit-for-bit.
@@ -134,6 +135,10 @@ func TestResumeValidation(t *testing.T) {
 		func(o *Options) { o.Seed = 99 },
 		func(o *Options) { o.Samples = 44 },
 		func(o *Options) { o.Steps = 5 },
+		func(o *Options) { o.Step = 1e-10 },
+		func(o *Options) { o.Method = transient.Trapezoidal },
+		func(o *Options) { o.LatinHypercube = true },
+		func(o *Options) { o.TrackNodes = []int{3} },
 	}
 	for i, mutate := range cases {
 		opts := Options{Samples: 40, Step: 5e-11, Steps: 4, Seed: 3, Resume: cp}
@@ -147,6 +152,36 @@ func TestResumeValidation(t *testing.T) {
 	opts := Options{Samples: 40, Step: 5e-11, Steps: 4, Seed: 3, Resume: &bad}
 	if _, err := Run(sys, opts); !errors.Is(err, ErrBadResume) {
 		t.Errorf("off-grid NextSample accepted: %v", err)
+	}
+
+	// A tracked snapshot resumes only a run tracking the same nodes,
+	// and only when its traces cover the merged prefix.
+	var tracked *Checkpoint
+	tOpts := base
+	tOpts.TrackNodes = []int{3, 11}
+	tOpts.OnCheckpoint = func(c *Checkpoint) {
+		if tracked == nil {
+			tracked = c
+		}
+	}
+	if _, err := Run(sys, tOpts); err != nil {
+		t.Fatal(err)
+	}
+	for i, mutate := range []func(o *Options, cp *Checkpoint){
+		func(o *Options, _ *Checkpoint) { o.TrackNodes = nil },
+		func(o *Options, _ *Checkpoint) { o.TrackNodes = []int{11, 3} },
+		func(_ *Options, cp *Checkpoint) { cp.Traces = cp.Traces[:len(cp.Traces)-1] },
+	} {
+		cp := *tracked
+		opts := Options{Samples: 40, Step: 5e-11, Steps: 4, Seed: 3, TrackNodes: []int{3, 11}, Resume: &cp}
+		mutate(&opts, &cp)
+		if _, err := Run(sys, opts); !errors.Is(err, ErrBadResume) {
+			t.Errorf("tracked case %d: expected ErrBadResume, got %v", i, err)
+		}
+	}
+	good := *tracked
+	if _, err := Run(sys, Options{Samples: 40, Step: 5e-11, Steps: 4, Seed: 3, TrackNodes: []int{3, 11}, Resume: &good}); err != nil {
+		t.Errorf("matching tracked snapshot rejected: %v", err)
 	}
 }
 

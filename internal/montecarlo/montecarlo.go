@@ -1,12 +1,28 @@
 // Package montecarlo implements the classical Monte Carlo baseline the
 // paper compares OPERA against (§6, Table 1: 1000 samples per grid):
-// draw a realization of the variation variables, stamp the perturbed
+// draw a realization of the variation variables, refill the perturbed
 // matrices, refactor the companion matrix, run the fixed-step transient
 // and accumulate streaming statistics of every node voltage at every
-// time point. The supernodal symbolic analysis is computed once on the
-// union pattern and shared across all samples, so each sample pays only
-// the numeric refactorization — the strongest fair version of the
-// baseline.
+// time point. Each sample pays only for what its draw changes — the
+// strongest fair version of the baseline:
+//
+//   - One supernodal symbolic analysis on the union pattern serves every
+//     sample.
+//   - A fill plan (mna.Plan), built once per run, maps every stored
+//     entry of Ga, Ca and each sensitivity to its slot in the fixed
+//     patterns of G(z) and C(z); each worker's stepper maps those slots
+//     once into the permuted lower triangle the supernodal panels
+//     scatter from. A sample then refills its worker's G, C and
+//     companion values and refactors in place (transient.Stepper's
+//     Refactor), with no per-sample add, permutation, triangle split or
+//     transpose.
+//   - The excitation parts ua(t_s) and u_k(t_s) are tabulated once per
+//     run (mna.Excitation) and shared read-only by all workers; a sample
+//     forms u = ua + Σ_k z_k·u_k from the table.
+//
+// Every value is computed with the operations of the sparse.Add chain
+// and RHS closure that mna.System.Realize defines, so the refill is
+// bit-identical to realizing each sample from scratch.
 //
 // Samples are independent, so the loop fans out across a worker pool.
 // The run is deterministic by construction, not by luck:
@@ -27,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,9 +114,10 @@ type Options struct {
 }
 
 // ErrBadResume rejects a Resume checkpoint that does not match the run
-// it is being applied to (different system size, sample budget, seed or
-// a next-sample index off the chunk grid). Callers holding a possibly
-// stale snapshot should discard it and restart from scratch.
+// it is being applied to (different system size, time stepping,
+// integration method, sample budget, seed, sampling scheme or tracked
+// nodes, or a next-sample index off the chunk grid). Callers holding a
+// possibly stale snapshot should discard it and restart from scratch.
 var ErrBadResume = errors.New("montecarlo: incompatible resume checkpoint")
 
 // Checkpoint is a resumable snapshot of a Monte Carlo run: the
@@ -109,11 +127,15 @@ var ErrBadResume = errors.New("montecarlo: incompatible resume checkpoint")
 // run's chunk layout — and therefore its merge order and its
 // floating-point association — is identical to the uninterrupted run's.
 type Checkpoint struct {
-	N          int   `json:"n"`
-	Steps      int   `json:"steps"`
-	Samples    int   `json:"samples"`
-	Seed       int64 `json:"seed"`
-	NextSample int   `json:"next_sample"`
+	N              int              `json:"n"`
+	Step           float64          `json:"step"`
+	Steps          int              `json:"steps"`
+	Method         transient.Method `json:"method"`
+	Samples        int              `json:"samples"`
+	Seed           int64            `json:"seed"`
+	LatinHypercube bool             `json:"latin_hypercube"`
+	TrackNodes     []int            `json:"track_nodes,omitempty"`
+	NextSample     int              `json:"next_sample"`
 	// Acc[s][i] is the accumulator state of node i at step s over
 	// samples [0, NextSample).
 	Acc [][]randvar.RunningState `json:"acc"`
@@ -128,15 +150,25 @@ func (cp *Checkpoint) compatible(n int, opts Options) error {
 	switch {
 	case cp.N != n:
 		return fmt.Errorf("%w: snapshot has %d nodes, run has %d", ErrBadResume, cp.N, n)
+	case cp.Step != opts.Step:
+		return fmt.Errorf("%w: snapshot step %g, run step %g", ErrBadResume, cp.Step, opts.Step)
 	case cp.Steps != opts.Steps:
 		return fmt.Errorf("%w: snapshot has %d steps, run has %d", ErrBadResume, cp.Steps, opts.Steps)
+	case cp.Method != opts.Method:
+		return fmt.Errorf("%w: snapshot method %v, run method %v", ErrBadResume, cp.Method, opts.Method)
 	case cp.Samples != opts.Samples:
 		return fmt.Errorf("%w: snapshot budget %d samples, run wants %d", ErrBadResume, cp.Samples, opts.Samples)
 	case cp.Seed != opts.Seed:
 		return fmt.Errorf("%w: snapshot seed %d, run seed %d", ErrBadResume, cp.Seed, opts.Seed)
+	case cp.LatinHypercube != opts.LatinHypercube:
+		return fmt.Errorf("%w: snapshot Latin hypercube %t, run %t", ErrBadResume, cp.LatinHypercube, opts.LatinHypercube)
+	case !slices.Equal(cp.TrackNodes, opts.TrackNodes):
+		return fmt.Errorf("%w: snapshot tracks nodes %v, run tracks %v", ErrBadResume, cp.TrackNodes, opts.TrackNodes)
 	case cp.NextSample < 0 || cp.NextSample > opts.Samples,
 		cp.NextSample%mcChunk != 0 && cp.NextSample != opts.Samples:
 		return fmt.Errorf("%w: next sample %d off the chunk grid", ErrBadResume, cp.NextSample)
+	case len(opts.TrackNodes) > 0 && len(cp.Traces) != cp.NextSample:
+		return fmt.Errorf("%w: snapshot traces cover %d samples, want %d", ErrBadResume, len(cp.Traces), cp.NextSample)
 	case len(cp.Acc) != nsteps:
 		return fmt.Errorf("%w: snapshot has %d step rows, want %d", ErrBadResume, len(cp.Acc), nsteps)
 	}
@@ -205,6 +237,17 @@ type Result struct {
 // count — which is half of the determinism contract (the other half is
 // the per-sample RNG substream).
 const mcChunk = 4
+
+// sampler is one worker's state, reused by every sample the worker
+// runs: its realization of G(z) and C(z) (refilled through the run's
+// plan), the stepper built on them at the worker's first sample and
+// refactored in place for each later one, and the draw and excitation
+// buffers.
+type sampler struct {
+	g, c *sparse.Matrix
+	st   *transient.Stepper
+	z, u []float64
+}
 
 // mcShard is one chunk's private accumulation state.
 type mcShard struct {
@@ -279,11 +322,20 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 		lhsDraws = randvar.LatinHypercubeNormal(randvar.NewStream(opts.Seed, 0), opts.Samples, sys.Dims())
 	}
 
-	// Per-worker mutable state: the recycled numeric factor and the
-	// per-worker sample-time histogram. Shards are pooled because a
-	// chunk's accumulator array (nsteps×n) is the largest transient
-	// allocation of the loop.
-	reuse := make([]*factor.SuperFactor, workers)
+	// What no sample changes is computed once and shared read-only: the
+	// fill plan of G(z) and C(z) and the excitation table.
+	plan := sys.Plan()
+	exc := sys.Tabulate(opts.Step, opts.Steps)
+	stepOpts := transient.Options{
+		Step: opts.Step, Steps: opts.Steps, Method: opts.Method,
+		Symbolic: sym, Obs: opts.Obs, Progress: opts.Progress,
+	}
+
+	// Per-worker mutable state: the sampler and the per-worker
+	// sample-time histogram. Shards are pooled because a chunk's
+	// accumulator array (nsteps×n) is the largest transient allocation
+	// of the loop.
+	samplers := make([]sampler, workers)
 	workerMS := make([]*obs.Histogram, workers)
 	for w := 0; w < workers; w++ {
 		workerMS[w] = reg.WorkerHistogram("montecarlo.sample_ms", w, obs.MSBuckets)
@@ -310,8 +362,12 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 				sh.acc[s][i].Reset()
 			}
 		}
-		u := make([]float64, n)
-		z := make([]float64, sys.Dims())
+		sm := &samplers[worker]
+		if sm.g == nil {
+			sm.g, sm.c = plan.Matrices()
+			sm.z = make([]float64, sys.Dims())
+			sm.u = make([]float64, n)
+		}
 		for k := sh.lo; k < sh.hi; k++ {
 			if err := cancel.Poll(opts.Ctx, "montecarlo", k); err != nil {
 				return nil, err
@@ -320,19 +376,20 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 			if sampleMS != nil {
 				sampleStart = time.Now()
 			}
-			drawSample(opts, lhsDraws, k, z)
-			g, c, rhs := sys.Realize(z)
-			st, err := transient.NewStepper(g, c, transient.Options{
-				Step: opts.Step, Steps: opts.Steps, Method: opts.Method,
-				Symbolic: sym, ReuseFactor: reuse[worker], Obs: opts.Obs,
-				Progress: opts.Progress,
-			})
+			drawSample(opts, lhsDraws, k, sm.z)
+			plan.Fill(sm.z, sm.g, sm.c)
+			var err error
+			if sm.st == nil {
+				sm.st, err = transient.NewStepper(sm.g, sm.c, stepOpts)
+			} else {
+				err = sm.st.Refactor()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("montecarlo: sample %d: %w", k, err)
 			}
-			reuse[worker] = st.Factor()
-			rhs(0, u)
-			if err := st.InitDC(u); err != nil {
+			st := sm.st
+			exc.At(0, sm.z, sm.u)
+			if err := st.InitDC(sm.u); err != nil {
 				return nil, fmt.Errorf("montecarlo: sample %d DC: %w", k, err)
 			}
 			record(res, sh.acc, opts, k, 0, st.State())
@@ -340,8 +397,8 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 				if err := cancel.Poll(opts.Ctx, "montecarlo", k); err != nil {
 					return nil, err
 				}
-				rhs(float64(s)*opts.Step, u)
-				if err := st.Advance(u); err != nil {
+				exc.At(s, sm.z, sm.u)
+				if err := st.Advance(sm.u); err != nil {
 					return nil, fmt.Errorf("montecarlo: sample %d step %d: %w", k, s, err)
 				}
 				record(res, sh.acc, opts, k, s, st.State())
@@ -426,7 +483,9 @@ func Run(sys *mna.System, opts Options) (*Result, error) {
 // was handed to the merger, so the copy is race-free.
 func snapshot(res *Result, acc [][]randvar.Running, opts Options, n, next int) *Checkpoint {
 	cp := &Checkpoint{
-		N: n, Steps: opts.Steps, Samples: opts.Samples, Seed: opts.Seed,
+		N: n, Step: opts.Step, Steps: opts.Steps, Method: opts.Method,
+		Samples: opts.Samples, Seed: opts.Seed, LatinHypercube: opts.LatinHypercube,
+		TrackNodes: slices.Clone(opts.TrackNodes),
 		NextSample: next,
 		Acc:        make([][]randvar.RunningState, len(acc)),
 	}

@@ -4,11 +4,13 @@
 // Carlo baseline (one run per parameter sample) and — applied to the
 // block-augmented Galerkin system — of OPERA itself. The companion
 // matrix G + C/h is factored once per run (the paper uses a fixed time
-// step) with the supernodal Cholesky kernel, and one symbolic analysis
-// can be shared across runs that differ only in matrix values, which is
-// what makes per-sample Monte Carlo refactorization affordable. A
-// companion that defeats Cholesky escalates to partial-pivoting LU, so
-// the stepper's ladder is supernodal → LU.
+// step) with the supernodal Cholesky kernel. One symbolic analysis can
+// be shared across runs that differ only in matrix values, and a
+// stepper refactors in place when its G and C values change (Refactor)
+// by refilling the permuted companion through a slot map built once,
+// which is what makes per-sample Monte Carlo refactorization
+// affordable. A companion that defeats Cholesky escalates to
+// partial-pivoting LU, so the stepper's ladder is supernodal → LU.
 package transient
 
 import (
@@ -57,9 +59,6 @@ type Options struct {
 	// Symbolic optionally supplies a pre-computed supernodal analysis
 	// whose pattern covers G + scale·C; it overrides Perm.
 	Symbolic *factor.SuperSymbolic
-	// ReuseFactor optionally recycles a previous numeric factor's
-	// storage (must come from the same Symbolic).
-	ReuseFactor *factor.SuperFactor
 	// Obs, when non-nil, feeds transient.step_ms /
 	// transient.steps_total on the tracer's registry. Nil disables the
 	// per-step timing entirely (no time.Now in Advance).
@@ -110,20 +109,29 @@ var ErrSize = errors.New("transient: dimension mismatch")
 
 // Stepper advances one RC system through time.
 type Stepper struct {
-	N      int
-	opts   Options
-	g, c   *sparse.Matrix
-	a      *sparse.Matrix        // companion G + scale·C (kept for escalation)
-	sym    *factor.SuperSymbolic // the symbolic analysis behind fac
-	fac    *factor.SuperFactor   // nil when the LU rung is in use
-	lu     *factor.LUFactor
-	x      []float64 // current state
-	t      float64
-	stepNo int
-	// Workspaces. y is the factor-solve scratch, so a stepper in a
-	// steady loop performs zero per-solve allocations.
+	N     int
+	opts  Options
+	scale float64 // the companion is G + scale·C
+	g, c  *sparse.Matrix
+	sym   *factor.SuperSymbolic // the symbolic analysis behind fac
+	// lower is the companion's permuted lower triangle, the form the
+	// supernodal panels scatter from. Its entry q is G's entry fromG[q]
+	// plus scale times C's entry fromC[q] (-1: absent from that
+	// matrix), combined as sparse.Add(1, G, scale, C) does.
+	lower        *sparse.Matrix
+	fromG, fromC []int
+	fac          *factor.SuperFactor // panel storage, recycled by every Refactor
+	lu           *factor.LUFactor    // non-nil while the LU rung is in use
+	x            []float64           // current state
+	t            float64
+	stepNo       int
+	// Workspaces, kept across Refactor. y is the factor-solve scratch,
+	// so a stepper in a steady loop performs zero per-solve
+	// allocations; cg is the DC solve's.
 	b, cx, gx, uPrev, y []float64
 	havePrev            bool
+	cg                  iterative.CGWork
+	pre                 iterative.Preconditioner
 
 	// Instruments (nil when Options.Obs is nil; Advance checks stepMS
 	// so the disabled path never reads the clock).
@@ -134,7 +142,8 @@ type Stepper struct {
 
 // NewStepper factors the companion matrix of (g, c) under opts with
 // the supernodal Cholesky kernel, on one worker; power grid MNA systems
-// with Norton-transformed pads always qualify.
+// with Norton-transformed pads always qualify. The stepper keeps g and
+// c: Refactor picks up new values written into them.
 func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -147,23 +156,31 @@ func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 	if opts.Method == Trapezoidal {
 		scale = 2 / opts.Step
 	}
-	a := sparse.Add(1, g, scale, c)
 	sym := opts.Symbolic
 	if sym == nil {
-		sym = factor.CholAnalyzeSupernodal(a, opts.Perm, -1)
+		sym = factor.CholAnalyzeSupernodal(sparse.Add(1, g, scale, c), opts.Perm, -1)
 	}
 	st := &Stepper{
-		N:    n,
-		opts: opts,
-		g:    g,
-		c:    c,
-		a:    a,
-		sym:  sym,
-		x:    make([]float64, n),
-		b:    make([]float64, n),
-		cx:   make([]float64, n),
-		y:    make([]float64, n),
+		N:     n,
+		opts:  opts,
+		scale: scale,
+		g:     g,
+		c:     c,
+		sym:   sym,
+		lower: sym.Lower(),
+		x:     make([]float64, n),
+		b:     make([]float64, n),
+		cx:    make([]float64, n),
+		y:     make([]float64, n),
 	}
+	var err error
+	if st.fromG, err = st.lowerSources(g); err != nil {
+		return nil, err
+	}
+	if st.fromC, err = st.lowerSources(c); err != nil {
+		return nil, err
+	}
+	st.pre = iterative.PrecondFunc(st.solveTo)
 	if reg := opts.Obs.Registry(); reg != nil {
 		st.stepMS = reg.Histogram("transient.step_ms", obs.MSBuckets)
 		// Worst single step of the run: a slow-job flight entry shows at
@@ -172,24 +189,74 @@ func NewStepper(g, c *sparse.Matrix, opts Options) (*Stepper, error) {
 		st.stepMSMax = reg.Gauge("transient.step_ms_max")
 		st.stepsTotal = reg.Counter("transient.steps_total")
 	}
-	fac, err := sym.Factorize(a, opts.ReuseFactor, 1)
-	if err != nil {
-		// A companion matrix that defeats Cholesky (borderline
-		// indefinite under extreme parameter samples) escalates to
-		// partial-pivoting LU rather than aborting the run.
-		if !errors.Is(err, factor.ErrNotPositiveDefinite) {
-			return nil, fmt.Errorf("transient: companion factorization: %w", err)
-		}
-		lu, luErr := factor.LU(a, sym.Perm)
-		if luErr != nil {
-			return nil, fmt.Errorf("transient: companion factorization: %v; LU escalation: %w", err, luErr)
-		}
-		st.lu = lu
-		return st, nil
+	if err := st.Refactor(); err != nil {
+		return nil, err
 	}
-	st.fac = fac
 	return st, nil
 }
+
+// lowerSources inverts m's slot map into the companion's lower
+// triangle: the result holds, per lower entry, the index of the entry
+// of m it takes, or -1.
+func (s *Stepper) lowerSources(m *sparse.Matrix) ([]int, error) {
+	slot, err := s.sym.LowerSlots(m)
+	if err != nil {
+		return nil, fmt.Errorf("transient: companion: %w", err)
+	}
+	from := make([]int, s.lower.NNZ())
+	for q := range from {
+		from[q] = -1
+	}
+	for p, q := range slot {
+		if q >= 0 {
+			from[q] = p
+		}
+	}
+	return from, nil
+}
+
+// Refactor refactors the companion after the caller has rewritten the
+// values, not the patterns, of the g and c the stepper was built on,
+// as one Monte Carlo sample after another does. It refills the
+// permuted companion through the slot map NewStepper built, with the
+// operations sparse.Add would perform, and factors it in the panel
+// storage of the previous factor; a companion that defeats Cholesky
+// escalates to LU, for which alone the CSC companion is assembled.
+// Call Init or InitDC before stepping again.
+func (s *Stepper) Refactor() error {
+	gv, cv, lv := s.g.Val, s.c.Val, s.lower.Val
+	for q, gi := range s.fromG {
+		switch ci := s.fromC[q]; {
+		case gi >= 0 && ci >= 0:
+			lv[q] = gv[gi] + s.scale*cv[ci]
+		case gi >= 0:
+			lv[q] = gv[gi]
+		case ci >= 0:
+			lv[q] = s.scale * cv[ci]
+		}
+	}
+	s.lu = nil
+	fac, err := s.sym.FactorLower(s.lower, s.fac, 1)
+	if err == nil {
+		s.fac = fac
+		return nil
+	}
+	// A companion matrix that defeats Cholesky (borderline indefinite
+	// under extreme parameter samples) escalates to partial-pivoting LU
+	// rather than aborting the run.
+	if !errors.Is(err, factor.ErrNotPositiveDefinite) {
+		return fmt.Errorf("transient: companion factorization: %w", err)
+	}
+	lu, luErr := factor.LU(s.companion(), s.sym.Perm)
+	if luErr != nil {
+		return fmt.Errorf("transient: companion factorization: %v; LU escalation: %w", err, luErr)
+	}
+	s.lu = lu
+	return nil
+}
+
+// companion assembles G + scale·C in CSC form, for the LU rung.
+func (s *Stepper) companion() *sparse.Matrix { return sparse.Add(1, s.g, s.scale, s.c) }
 
 // Factorer names the factorization rung in use ("supernodal" or "lu").
 func (s *Stepper) Factorer() string {
@@ -218,7 +285,7 @@ func (s *Stepper) guardState(stage string, step int, b []float64) error {
 		return nil
 	}
 	if s.lu == nil {
-		lu, err := factor.LU(s.a, s.sym.Perm)
+		lu, err := factor.LU(s.companion(), s.sym.Perm)
 		if err == nil {
 			s.lu = lu
 			s.lu.SolveTo(s.x, b)
@@ -232,10 +299,6 @@ func (s *Stepper) guardState(stage string, step int, b []float64) error {
 		Reason: "non-finite transient state",
 	}
 }
-
-// Factor exposes the companion factor so callers can recycle its
-// storage across Monte Carlo samples (nil when the LU rung is in use).
-func (s *Stepper) Factor() *factor.SuperFactor { return s.fac }
 
 // Symbolic exposes the companion's symbolic analysis so callers can
 // share one etree/supernode computation across steppers whose
@@ -303,12 +366,11 @@ func (s *Stepper) InitDC(u0 []float64) error {
 	if len(u0) != s.N {
 		return fmt.Errorf("%w: u0 length %d != %d", ErrSize, len(u0), s.N)
 	}
-	pre := iterative.PrecondFunc(func(z, r []float64) { s.solveTo(z, r) })
 	for i := range s.x {
 		s.x[i] = 0
 	}
-	if _, err := iterative.CG(s.g, s.x, u0, iterative.CGOptions{
-		Tol: 1e-12, MaxIter: 200, M: pre,
+	if _, err := s.cg.CG(s.g, s.x, u0, iterative.CGOptions{
+		Tol: 1e-12, MaxIter: 200, M: s.pre,
 	}); err != nil {
 		fg, ferr := factor.CholAnalyzeSupernodal(s.g, s.sym.Perm, -1).Factorize(s.g, nil, 1)
 		if ferr != nil {

@@ -176,18 +176,21 @@ func TestOptionsValidation(t *testing.T) {
 func TestStepperSymbolicReuse(t *testing.T) {
 	g, c := ladder(30)
 	opts := Options{Step: 1e-2, Steps: 5, Method: BackwardEuler}
-	// First stepper computes its own symbolic; reuse it (and the factor
-	// storage) for a second system with perturbed values.
+	// First stepper computes its own symbolic; a second shares it, then
+	// refactors in place after its G values change.
 	s1, err := NewStepper(g, c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := g.Clone().Scale(1.1)
+	g2 := g.Clone()
 	opts2 := opts
 	opts2.Symbolic = s1.Symbolic()
-	opts2.ReuseFactor = s1.Factor()
 	s2, err := NewStepper(g2, c, opts2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	g2.Scale(1.1)
+	if err := s2.Refactor(); err != nil {
 		t.Fatal(err)
 	}
 	// Verify: one BE step from the same start must satisfy the
