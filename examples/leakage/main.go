@@ -38,8 +38,9 @@ func main() {
 	}
 	fmt.Printf("grid: %s, %d regions\n", nl.Stats(), opts.Regions)
 	fmt.Printf("OPERA took the decoupled path: %v (factored a %d-unknown system once,\n"+
-		"then ran %d independent recursions — Eq. 27)\n",
-		res.Galerkin.Decoupled, res.Galerkin.AugmentedN, res.Basis.Size())
+		"then ran one recursion per region plus the mean, %d in all, for the\n"+
+		"%d chaos coefficients of Eq. 27)\n",
+		res.Galerkin.Decoupled, res.Galerkin.AugmentedN, opts.Regions+1, res.Basis.Size())
 	fmt.Printf("analysis time: %.3fs\n\n", res.Elapsed.Seconds())
 
 	node, step := res.MaxMeanDropNode()

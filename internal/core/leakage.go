@@ -24,7 +24,9 @@ import (
 // is stochastic — the leakage component of the drain currents varies
 // lognormally with per-region threshold-voltage variation — so the
 // Galerkin system decouples into N+1 independent solves sharing one
-// factorization (Eq. 27).
+// factorization (Eq. 27). By linearity the solver runs Regions+1 of
+// them, one per region plus the mean, and scales each region's state
+// into the blocks its multiplier weights.
 type LeakageOptions struct {
 	// Regions is the number of intra-die regions; every leakage source
 	// in the netlist must carry a Region tag in [0, Regions).
@@ -81,77 +83,77 @@ func buildLeakageSystem(nl *netlist.Netlist, opts LeakageOptions) (*galerkin.Sys
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
+	leaks, err := leakageSources(nl, opts.Regions)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Deterministic operator: zero sensitivities.
 	sys, err := mna.Build(nl, mna.VariationSpec{})
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, src := range nl.Sources {
-		if src.Leakage && (src.Region < 0 || src.Region >= opts.Regions) {
-			return nil, nil, fmt.Errorf("core: leakage source %q region %d outside [0,%d)",
-				src.Name, src.Region, opts.Regions)
-		}
 	}
 	fams := make([]poly.Family, opts.Regions)
 	for i := range fams {
 		fams[i] = poly.Hermite{}
 	}
 	basis := pce.NewBasis(fams, opts.Order)
-	// Lognormal multiplier coefficients per region (unit mean).
+	// Source 0 is the mean block, with weight 1: the deterministic
+	// excitation with every leakage current at its mean. Source 1+r is
+	// region r's leakage, −Σ_{src∈r} i_src(t) at the sources' nodes,
+	// weighted by the lognormal multiplier's chaos coefficients mult_r
+	// (unit mean) apart from its mean. Those sit on the pure powers ξ_r^k
+	// only, so no block draws on two regions, and every other block is
+	// an exact +0 at all times.
 	mu := -opts.SigmaLogI * opts.SigmaLogI / 2
-	mult := make([][]float64, opts.Regions)
-	for r := range mult {
-		mult[r] = basis.LognormalCoefficients(r, mu, opts.SigmaLogI)
+	weights := make([][]float64, 1+opts.Regions)
+	weights[0] = make([]float64, basis.Size())
+	weights[0][0] = 1
+	mean := make([]float64, opts.Regions) // mult_r[0]
+	for r := 0; r < opts.Regions; r++ {
+		w := basis.LognormalCoefficients(r, mu, opts.SigmaLogI)
+		mean[r], w[0] = w[0], 0
+		weights[1+r] = w
 	}
-	// reached[m] reports whether some region's multiplier has a nonzero
-	// coefficient on basis function m. Only the mean and the pure powers
-	// ξ_r^k are reached; every other block is an exact +0 at all times.
-	reached := make([]bool, basis.Size())
-	for _, mr := range mult {
-		for m, v := range mr {
-			if v != 0 {
-				reached[m] = true
-			}
-		}
-	}
-	n := sys.N
-	ident := basis.CouplingIdentity()
-	leaks := leakageSources(nl)
-	ua := make([]float64, n)
 	iv := make([]float64, len(leaks)) // leakage currents at the step's time
-	rhs := func(t float64, out [][]float64) {
-		// Deterministic part: pads plus non-leakage sources.
-		sys.RHS(t, ua, nil)
-		// Remove the leakage sources from the deterministic vector; they
-		// re-enter through their chaos coefficients. Each waveform is
-		// evaluated once here and reused for every basis function.
+	sources := func(t float64, u [][]float64) {
+		// Deterministic part: pads plus non-leakage sources. Remove the
+		// leakage sources from it; they re-enter at their mean and
+		// through their regions' sources. Each waveform is evaluated
+		// once here and reused for every source.
+		u0 := u[0]
+		sys.RHS(t, u0, nil)
 		for k, src := range leaks {
 			iv[k] = src.Wave.At(t)
-			ua[src.A] += iv[k]
+			u0[src.A] += iv[k]
 		}
-		for m := range out {
-			dst := out[m]
-			if m == 0 {
-				copy(dst, ua)
-			} else {
-				clear(dst)
-				if !reached[m] {
-					continue // subtracting iv·0 would leave the +0 as it is
-				}
-			}
-			for k, src := range leaks {
-				dst[src.A] -= iv[k] * mult[src.Region][m]
-			}
+		for _, ur := range u[1:] {
+			clear(ur)
+		}
+		for k, src := range leaks {
+			u0[src.A] -= iv[k] * mean[src.Region]
+			u[1+src.Region][src.A] -= iv[k]
 		}
 	}
+	ident := basis.CouplingIdentity()
 	gsys := &galerkin.System{
-		N:      n,
-		Basis:  basis,
-		GTerms: []galerkin.Term{{Coupling: ident, A: sys.Ga}},
-		CTerms: []galerkin.Term{{Coupling: ident, A: sys.Ca}},
-		RHS:    rhs,
+		N:       sys.N,
+		Basis:   basis,
+		GTerms:  []galerkin.Term{{Coupling: ident, A: sys.Ga}},
+		CTerms:  []galerkin.Term{{Coupling: ident, A: sys.Ca}},
+		Sources: sources,
+		Weights: weights,
 	}
 	return gsys, sys, nil
+}
+
+// analyzeOptions carries every option analyze takes.
+func (o LeakageOptions) analyzeOptions() Options {
+	return Options{
+		Order: o.Order, Step: o.Step, Steps: o.Steps,
+		Ordering:   o.Ordering,
+		TrackNodes: o.TrackNodes, Workers: o.Workers, Obs: o.Obs,
+		Progress: o.Progress, Ctx: o.Ctx,
+	}
 }
 
 // AnalyzeLeakage runs the §5.1 special case with OPERA. The returned
@@ -162,12 +164,7 @@ func AnalyzeLeakage(nl *netlist.Netlist, opts LeakageOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyze(gsys, sys.VDD, Options{
-		Order: opts.Order, Step: opts.Step, Steps: opts.Steps,
-		Ordering:   opts.Ordering,
-		TrackNodes: opts.TrackNodes, Workers: opts.Workers, Obs: opts.Obs,
-		Progress: opts.Progress, Ctx: opts.Ctx,
-	})
+	return analyze(gsys, sys.VDD, opts.analyzeOptions())
 }
 
 // LeakageMCResult carries the Monte Carlo reference for the special
@@ -185,15 +182,21 @@ type LeakageMCResult struct {
 const leakMCBlock = 64
 
 // leakageSources lists the netlist's leakage current sources in netlist
-// order.
-func leakageSources(nl *netlist.Netlist) []netlist.CurrentSource {
+// order, rejecting any whose region tag is outside [0, regions). Both
+// the OPERA and the Monte Carlo entry points check their input here.
+func leakageSources(nl *netlist.Netlist, regions int) ([]netlist.CurrentSource, error) {
 	var leaks []netlist.CurrentSource
 	for _, src := range nl.Sources {
-		if src.Leakage {
-			leaks = append(leaks, src)
+		if !src.Leakage {
+			continue
 		}
+		if src.Region < 0 || src.Region >= regions {
+			return nil, fmt.Errorf("core: leakage source %q region %d outside [0,%d)",
+				src.Name, src.Region, regions)
+		}
+		leaks = append(leaks, src)
 	}
-	return leaks
+	return leaks, nil
 }
 
 // RunLeakageMC samples the per-region lognormal leakage multipliers and
@@ -212,6 +215,10 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 	}
 	if samples < 1 {
 		return nil, fmt.Errorf("core: need >= 1 sample")
+	}
+	leaks, err := leakageSources(nl, opts.Regions)
+	if err != nil {
+		return nil, err
 	}
 	sys, err := mna.Build(nl, mna.VariationSpec{})
 	if err != nil {
@@ -245,7 +252,6 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 	for s := range acc {
 		acc[s] = make([]randvar.Running, n)
 	}
-	leaks := leakageSources(nl)
 	block := min(samples, leakMCBlock)
 	workers := min(parallel.Workers(opts.Workers), block)
 	// x[j] is sample j's state; each step forms the sample's right-hand
@@ -325,9 +331,7 @@ func AnalyzeLeakageForceCoupled(nl *netlist.Netlist, opts LeakageOptions) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return analyze(gsys, sys.VDD, Options{
-		Order: opts.Order, Step: opts.Step, Steps: opts.Steps,
-		TrackNodes: opts.TrackNodes, ForceCoupled: true, Workers: opts.Workers, Obs: opts.Obs,
-		Progress: opts.Progress,
-	})
+	o := opts.analyzeOptions()
+	o.ForceCoupled = true
+	return analyze(gsys, sys.VDD, o)
 }

@@ -68,43 +68,24 @@ func AnalyzeReduced(sys *mna.System, ports []int, morMoments int, opts Options) 
 	ident := basis.CouplingIdentity()
 	gTerms := []galerkin.Term{{Coupling: ident, A: projectSparse(sys.Ga, red.V)}}
 	cTerms := []galerkin.Term{{Coupling: ident, A: projectSparse(sys.Ca, red.V)}}
-	dims := sys.Dims()
-	proj := make([][]float64, dims)
-	for d := 0; d < dims; d++ {
+	for d := 0; d < sys.Dims(); d++ {
 		if g := sys.GSens[d]; g != nil && g.NNZ() > 0 {
 			gTerms = append(gTerms, galerkin.Term{Coupling: basis.CouplingLinear(d), A: projectSparse(g, red.V)})
 		}
 		if c := sys.CSens[d]; c != nil && c.NNZ() > 0 {
 			cTerms = append(cTerms, galerkin.Term{Coupling: basis.CouplingLinear(d), A: projectSparse(c, red.V)})
 		}
-		proj[d] = basis.ProjectVariable(d)
 	}
-	n := sys.N
-	ua := make([]float64, n)
-	uk := alloc2(dims, n)
-	uaR := make([]float64, k)
-	ukR := alloc2(dims, k)
-	rhs := func(t float64, out [][]float64) {
+	ua := make([]float64, sys.N)
+	uk := alloc2(sys.Dims(), sys.N)
+	sources, weights := galerkin.LinearExcitation(basis, k, func(t float64, uaR []float64, ukR [][]float64) {
 		sys.RHS(t, ua, uk)
 		projectVec(red.V, ua, uaR)
 		for d := range uk {
 			projectVec(red.V, uk[d], ukR[d])
 		}
-		for m := range out {
-			dst := out[m]
-			for i := 0; i < k; i++ {
-				v := proj[0][m] * ukR[0][i]
-				for d := 1; d < dims; d++ {
-					v += proj[d][m] * ukR[d][i]
-				}
-				if m == 0 {
-					v += uaR[i]
-				}
-				dst[i] = v
-			}
-		}
-	}
-	gsys := &galerkin.System{N: k, Basis: basis, GTerms: gTerms, CTerms: cTerms, RHS: rhs}
+	})
+	gsys := &galerkin.System{N: k, Basis: basis, GTerms: gTerms, CTerms: cTerms, Sources: sources, Weights: weights}
 	reduceTime := time.Since(startReduce)
 
 	nsteps := opts.Steps + 1

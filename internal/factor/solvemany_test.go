@@ -118,7 +118,7 @@ func BenchmarkSolveMany(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, k := range []int{4, 7, 13} {
+	for _, k := range []int{3, 4, 7, 13} {
 		x := make([][]float64, k)
 		rhs := make([][]float64, k)
 		for c := range rhs {

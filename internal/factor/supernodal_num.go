@@ -408,8 +408,9 @@ func (f *SuperFactor) SolveToWithScratch(x, b, y []float64) {
 // SolveMany solves A·x[c] = b[c] for every column c in one sweep over
 // the panels: the right-hand sides are gathered through the permutation
 // into a pooled node-interleaved block (y[i·k+c]), each panel column is
-// read once and applied to every right-hand side in register groups of
-// 4, 2 and 1 columns, and the block scatters back. x[c] may alias b[c].
+// read once per register group of columns (groups of 4, then one of the
+// remaining 1–3) and applied to every right-hand side in the group, and
+// the block scatters back. x[c] may alias b[c].
 // Every column goes through exactly SolveToWithScratch's operations in
 // its order, so the result is bitwise equal to k SolveTo calls for any
 // k and any split of the columns. Safe to call concurrently on a
@@ -482,7 +483,9 @@ func (f *SuperFactor) SolveMany(x, b [][]float64) {
 // column l (rows rlist, pivot at position j) divides row rlist[j] of
 // the k-column block y by the pivot, then subtracts l[i] times it from
 // every row rlist[i] below — per column the operations of
-// SolveToWithScratch's forward pass, in the same order.
+// SolveToWithScratch's forward pass, in the same order. Columns go in
+// groups of 4 and then one group of the remaining 1–3, so the panel
+// column is read ⌈k/4⌉ times.
 func forwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 	r, d := rlist[j]*k, l[j]
 	c := 0
@@ -499,7 +502,19 @@ func forwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 			u[3] -= li * y3
 		}
 	}
-	if c+2 <= k {
+	switch k - c {
+	case 3:
+		t := y[r+c : r+c+3 : r+c+3]
+		y0, y1, y2 := t[0]/d, t[1]/d, t[2]/d
+		t[0], t[1], t[2] = y0, y1, y2
+		for i := j + 1; i < len(l); i++ {
+			li, p := l[i], rlist[i]*k+c
+			u := y[p : p+3 : p+3]
+			u[0] -= li * y0
+			u[1] -= li * y1
+			u[2] -= li * y2
+		}
+	case 2:
 		t := y[r+c : r+c+2 : r+c+2]
 		y0, y1 := t[0]/d, t[1]/d
 		t[0], t[1] = y0, y1
@@ -509,9 +524,7 @@ func forwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 			u[0] -= li * y0
 			u[1] -= li * y1
 		}
-		c += 2
-	}
-	if c < k {
+	case 1:
 		y0 := y[r+c] / d
 		y[r+c] = y0
 		for i := j + 1; i < len(l); i++ {
@@ -523,7 +536,8 @@ func forwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 // backwardMany is one backward-substitution column of SolveMany: row
 // rlist[j] of y gathers l[i] times every row rlist[i] below, then
 // divides by the pivot — per column the operations of
-// SolveToWithScratch's backward pass, in the same order.
+// SolveToWithScratch's backward pass, in the same order. Columns are
+// grouped as in forwardMany.
 func backwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 	r, d := rlist[j]*k, l[j]
 	c := 0
@@ -540,7 +554,19 @@ func backwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 		}
 		t[0], t[1], t[2], t[3] = s0/d, s1/d, s2/d, s3/d
 	}
-	if c+2 <= k {
+	switch k - c {
+	case 3:
+		t := y[r+c : r+c+3 : r+c+3]
+		s0, s1, s2 := t[0], t[1], t[2]
+		for i := j + 1; i < len(l); i++ {
+			li, p := l[i], rlist[i]*k+c
+			u := y[p : p+3 : p+3]
+			s0 -= li * u[0]
+			s1 -= li * u[1]
+			s2 -= li * u[2]
+		}
+		t[0], t[1], t[2] = s0/d, s1/d, s2/d
+	case 2:
 		t := y[r+c : r+c+2 : r+c+2]
 		s0, s1 := t[0], t[1]
 		for i := j + 1; i < len(l); i++ {
@@ -550,9 +576,7 @@ func backwardMany(y []float64, k int, l []float64, rlist []int, j int) {
 			s1 -= li * u[1]
 		}
 		t[0], t[1] = s0/d, s1/d
-		c += 2
-	}
-	if c < k {
+	case 1:
 		s0 := y[r+c]
 		for i := j + 1; i < len(l); i++ {
 			s0 -= l[i] * y[rlist[i]*k+c]

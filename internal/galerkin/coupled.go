@@ -95,15 +95,11 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 
 	x := make([]float64, nb)
 	rhs := make([]float64, nb)
-	work := make([]float64, nb) // C̃·x, then the verified residual
-	rhsBlocks := make([][]float64, b)
-	outBlocks := make([][]float64, b)
-	cols := make([][]float64, b) // the preconditioner's chaos columns
-	for m := 0; m < b; m++ {
-		rhsBlocks[m] = make([]float64, n)
-		outBlocks[m] = make([]float64, n)
-		cols[m] = make([]float64, n)
-	}
+	work := make([]float64, nb)        // C̃·x, then the verified residual
+	src := alloc2(len(sys.Weights), n) // the excitation sources
+	rhsBlocks := alloc2(b, n)
+	outBlocks := alloc2(b, n)
+	cols := alloc2(b, n) // the preconditioner's chaos columns
 	pack := func(blocks [][]float64, dst []float64) {
 		for m := 0; m < b; m++ {
 			src := blocks[m]
@@ -218,7 +214,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 		return dc.Solve(0, x, rhs)
 	}
 
-	sys.RHS(0, rhsBlocks)
+	sys.rhs(0, src, rhsBlocks)
 	pack(rhsBlocks, rhs)
 	if _, fault := cgSolve(0, gOp, gNorm, g0Fac); fault != "" {
 		if err := escalate(0, fault); err != nil {
@@ -235,7 +231,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 		}
 		t := float64(k) * opts.Step
 		stepStart := time.Now()
-		sys.RHS(t, rhsBlocks)
+		sys.rhs(t, src, rhsBlocks)
 		pack(rhsBlocks, rhs)
 		cOp.MulVec(work, x)
 		for i := range rhs {

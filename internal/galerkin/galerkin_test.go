@@ -100,14 +100,6 @@ func quadratureReference(t *testing.T, sys *mna.System, npts, steps int) (mean, 
 	return mean, variance
 }
 
-func alloc2(a, b int) [][]float64 {
-	m := make([][]float64, a)
-	for i := range m {
-		m[i] = make([]float64, b)
-	}
-	return m
-}
-
 // runGalerkin lifts sys onto the order-p Hermite basis over its K
 // variables, solves, and returns the per-step moments, asserting that
 // every block of coefficients delivered to the visitor is finite.
@@ -388,23 +380,47 @@ func TestForceLU(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadSystems checks the dimension checks and the
+// excitation's shape invariant: source 0 alone weights the mean block
+// and every other block draws on at most one source.
 func TestValidateRejectsBadSystems(t *testing.T) {
 	basis := pce.NewHermiteBasis(2, 2)
-	s := &System{N: 0, Basis: basis}
-	if err := s.Validate(); err == nil {
-		t.Error("zero-node system accepted")
+	b := basis.Size()
+	// good has three sources: the mean, one weighting block 1 and one
+	// weighting blocks 2 and 3.
+	good := func() *System {
+		w := alloc2(3, b)
+		w[0][0], w[1][1], w[2][2], w[2][3] = 1, 0.5, 0.25, 2
+		return &System{
+			N: 3, Basis: basis,
+			GTerms:  []Term{{Coupling: basis.CouplingIdentity(), A: sparse.Identity(3)}},
+			Sources: func(float64, [][]float64) {},
+			Weights: w,
+		}
 	}
-	s = &System{N: 3, Basis: basis, RHS: func(float64, [][]float64) {}}
-	if err := s.Validate(); err == nil {
-		t.Error("system without G terms accepted")
+	if err := good().Validate(); err != nil {
+		t.Fatalf("valid system rejected: %v", err)
 	}
-	s = &System{
-		N: 3, Basis: basis,
-		GTerms: []Term{{Coupling: sparse.Identity(5), A: sparse.Identity(3)}},
-		RHS:    func(float64, [][]float64) {},
-	}
-	if err := s.Validate(); err == nil {
-		t.Error("mis-sized coupling accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(s *System)
+	}{
+		{"zero-node system", func(s *System) { s.N = 0 }},
+		{"system without G terms", func(s *System) { s.GTerms = nil }},
+		{"mis-sized coupling", func(s *System) { s.GTerms[0].Coupling = sparse.Identity(5) }},
+		{"nil Sources", func(s *System) { s.Sources = nil }},
+		{"system without source weights", func(s *System) { s.Weights = nil }},
+		{"weight row of length B-1", func(s *System) { s.Weights[1] = s.Weights[1][:b-1] }},
+		{"weight row of length B+1", func(s *System) { s.Weights[2] = append(s.Weights[2], 0) }},
+		{"block 3 weighted by two sources", func(s *System) { s.Weights[1][3] = 1 }},
+		{"block 1 weighted by source 0 too", func(s *System) { s.Weights[0][1] = 1 }},
+		{"source 2 weighting the mean in place of source 0", func(s *System) { s.Weights[0][0], s.Weights[2][0] = 0, 1 }},
+	} {
+		s := good()
+		tc.edit(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package galerkin
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"opera/internal/obs"
 	"opera/internal/order"
 	"opera/internal/pce"
+	"opera/internal/poly"
 	"opera/internal/sparse"
 )
 
@@ -48,8 +50,16 @@ func TestSumTermsSingleTermNoAlias(t *testing.T) {
 }
 
 // rhsOnlySystem builds a grid whose variations enter only the RHS, so
-// Solve takes the §5.1 decoupled path.
+// Solve takes the §5.1 decoupled path, on the order-p Hermite basis.
 func rhsOnlySystem(t *testing.T, order int) *System {
+	t.Helper()
+	return rhsOnlySystemOn(t, pce.NewHermiteBasis(2, order))
+}
+
+// rhsOnlySystemOn is rhsOnlySystem on any two-dimensional basis. Only
+// the leakage variable z_L drives the RHS: the geometry variable's u_G
+// is identically zero on this grid.
+func rhsOnlySystemOn(t *testing.T, basis *pce.Basis) *System {
 	t.Helper()
 	nl := smallGrid()
 	for i := range nl.Resistors {
@@ -65,7 +75,7 @@ func rhsOnlySystem(t *testing.T, order int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsys, err := From(sys, pce.NewHermiteBasis(2, order))
+	gsys, err := From(sys, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +100,50 @@ func collectCoeffs(t *testing.T, gsys *System, opts Options) (snaps [][][]float6
 		t.Fatal(err)
 	}
 	return snaps, res
+}
+
+// assertCloseCoeffs checks every block of got within tol of ref,
+// relative to the block's ∞-norm in ref, at every step.
+func assertCloseCoeffs(t *testing.T, ref, got [][][]float64, tol float64, label string) {
+	t.Helper()
+	for s := range ref {
+		for m := range ref[s] {
+			var diff, scale float64
+			for i, v := range ref[s][m] {
+				diff = math.Max(diff, math.Abs(got[s][m][i]-v))
+				scale = math.Max(scale, math.Abs(v))
+			}
+			if diff > tol*scale {
+				t.Fatalf("%s: step %d block %d differs by %.3g, %.3g relative to its ∞-norm %.3g",
+					label, s, m, diff, diff/scale, scale)
+			}
+		}
+	}
+}
+
+// unweightedBlocks lists the blocks no excitation source weights.
+func unweightedBlocks(sys *System) []int {
+	var out []int
+	for m := 0; m < sys.Basis.Size(); m++ {
+		if sys.source(m) < 0 {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// assertPositiveZero checks that blocks are exactly +0 at every step.
+func assertPositiveZero(t *testing.T, snaps [][][]float64, blocks []int, label string) {
+	t.Helper()
+	for k := range snaps {
+		for _, m := range blocks {
+			for i, v := range snaps[k][m] {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s: step %d block %d node %d = %g, want +0", label, k, m, i, v)
+				}
+			}
+		}
+	}
 }
 
 func assertIdenticalCoeffs(t *testing.T, ref, got [][][]float64, workers int) {
@@ -129,10 +183,12 @@ func TestDecoupledParallelDeterminism(t *testing.T) {
 	}
 }
 
-// perColumnDecoupled is the reference for the batched decoupled path:
-// every basis column solved on its own through the numguard ladders at
-// every step, excited or not — the per-basis loop solveDecoupled ran
-// before its solves were batched and unexcited columns skipped.
+// perColumnDecoupled is the reference for the decoupled path: every
+// chaos column of System.RHS solved on its own through the numguard
+// ladders at every step, excited or not — the per-basis loop
+// solveDecoupled ran before its solves were batched, unexcited columns
+// skipped and each excitation source solved once for all the blocks it
+// weights.
 func perColumnDecoupled(t *testing.T, sys *System, opts Options) [][][]float64 {
 	t.Helper()
 	n, b := sys.N, sys.Basis.Size()
@@ -176,11 +232,23 @@ func perColumnDecoupled(t *testing.T, sys *System, opts Options) [][][]float64 {
 	return snaps
 }
 
-// TestDecoupledSkipsUnexcitedColumns checks the live-column rule: on
+// liveColumns returns the transient span's live_columns attribute.
+func liveColumns(tr *obs.Tracer) string {
+	for _, sp := range tr.Dump().Spans {
+		if sp.Name == "transient" {
+			return sp.Attrs["live_columns"]
+		}
+	}
+	return ""
+}
+
+// TestDecoupledSkipsUnexcitedColumns checks the live-source rule: on
 // the RHS-only grid the excitation reaches 3 of the 6 order-2 basis
-// columns (the mean and the two linear terms), the other 3 are never
-// solved and stay exactly +0 at every step, the transient span records
-// 3 live columns, and every coefficient equals the per-column ladder's.
+// columns (the mean, ξ_L and ξ_L², which z_L's quadrature projection
+// weights by about 5e-16), the other 3 are never written and stay
+// exactly +0 at every step, the transient span records 2 live sources
+// (the mean and u_L; u_G is identically zero), and every block is
+// within 1e-13 of the per-column ladder's.
 func TestDecoupledSkipsUnexcitedColumns(t *testing.T) {
 	gsys := rhsOnlySystem(t, 2)
 	for _, w := range []int{1, 2} {
@@ -207,25 +275,62 @@ func TestDecoupledSkipsUnexcitedColumns(t *testing.T) {
 		tr := obs.New("decoupled")
 		opts.Obs = tr
 		snaps, _ := collectCoeffs(t, gsys, opts)
-		for k := range snaps {
-			for _, m := range dead {
-				for i, v := range snaps[k][m] {
-					if math.Float64bits(v) != 0 {
-						t.Fatalf("workers=%d step %d: unexcited column %d node %d = %g, want +0", w, k, m, i, v)
+		label := fmt.Sprintf("workers=%d", w)
+		assertPositiveZero(t, snaps, dead, label)
+		assertCloseCoeffs(t, ref, snaps, 1e-13, label)
+		if live := liveColumns(tr); live != "2" {
+			t.Errorf("workers=%d: transient span live_columns = %q, want 2", w, live)
+		}
+	}
+}
+
+// TestDecoupledSourcesMatchPerColumn checks the factored decoupled path
+// against the per-column reference on RHS-only linear systems, Hermite
+// (z_L's first-order weight 1.0000000000000007) and Legendre (weights
+// well away from 1): every block within 1e-13 of the reference, the
+// mean block bitwise equal to it (its source has weight 1), unweighted
+// blocks exactly +0, and results bitwise equal at every worker count.
+func TestDecoupledSourcesMatchPerColumn(t *testing.T) {
+	leg := []poly.Family{poly.Legendre{}, poly.Legendre{}}
+	for _, tc := range []struct {
+		name  string
+		basis *pce.Basis
+	}{
+		{"hermite-2", pce.NewHermiteBasis(2, 2)},
+		{"legendre-3", pce.NewBasis(leg, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gsys := rhsOnlySystemOn(t, tc.basis)
+			unweighted := unweightedBlocks(gsys)
+			if len(unweighted) == 0 {
+				t.Fatal("every block is weighted; the +0 check would be vacuous")
+			}
+			base := Options{Step: tStep, Steps: 12}
+			ref := perColumnDecoupled(t, gsys, base)
+			var first [][][]float64
+			for _, w := range []int{1, 2, 3, 4, 7} {
+				opts := base
+				opts.Workers = w
+				snaps, res := collectCoeffs(t, gsys, opts)
+				if !res.Decoupled {
+					t.Fatalf("workers=%d: decoupled path not taken", w)
+				}
+				if first != nil {
+					assertIdenticalCoeffs(t, first, snaps, w)
+					continue
+				}
+				first = snaps
+				assertCloseCoeffs(t, ref, snaps, 1e-13, tc.name)
+				assertPositiveZero(t, snaps, unweighted, tc.name)
+				for k := range snaps {
+					for i, v := range snaps[k][0] {
+						if math.Float64bits(v) != math.Float64bits(ref[k][0][i]) {
+							t.Fatalf("step %d node %d: mean %.17g, reference %.17g", k, i, v, ref[k][0][i])
+						}
 					}
 				}
 			}
-		}
-		assertIdenticalCoeffs(t, ref, snaps, w)
-		var live string
-		for _, sp := range tr.Dump().Spans {
-			if sp.Name == "transient" {
-				live = sp.Attrs["live_columns"]
-			}
-		}
-		if live != "3" {
-			t.Errorf("workers=%d: transient span live_columns = %q, want 3", w, live)
-		}
+		})
 	}
 }
 

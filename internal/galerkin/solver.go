@@ -124,24 +124,32 @@ func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][
 }
 
 // solveDecoupled exploits a deterministic operator (§5.1, Eq. 27): one
-// n×n factorization, N+1 independent recursions. Every solve runs
-// through the numguard escalation ladder (supernodal → lu → cg+ic0)
-// with residual verification.
+// n×n factorization, one independent recursion per excitation source.
+// Every solve runs through the numguard escalation ladder (supernodal →
+// lu → cg+ic0) with residual verification.
 //
-// A step solves only the live columns: a column turns live once its
-// excitation has a nonzero entry (its state is nonzero only after
-// that). A column whose state and right-hand side are both exactly
-// zero would solve to exactly +0, so it is left at +0 unsolved. The
-// live columns split into one contiguous chunk per worker; each chunk
-// forms its right-hand sides c0·x/h + U in place in rhsBlocks and
-// makes one batched ladder SolveMany — a single sweep over the factor.
-// Basis m reads and writes only blocks[m] and rhsBlocks[m], and a
-// batched solve's per-column arithmetic is independent of the batch,
-// so coefficients are bit-identical for every worker count, including
-// 1.
+// Every chaos block sees the same operator, and block m's excitation is
+// w·u_j(t) for the one source j that weights it, so by linearity block
+// m is w·y_j, y_j the state source j alone drives. A step therefore
+// solves each live source once, however many blocks it weights, and
+// writes each of those blocks as one scalar times the source's state.
+// The scaled residual ‖Ax−b‖/(‖A‖‖x‖) is invariant under scaling, so
+// the residual verified for y_j holds for every block it writes. A
+// source turns live once it weights some block and its excitation has
+// a nonzero entry (its state is nonzero only after that). Until then
+// its state would solve to exactly +0, so it is left unsolved, and a
+// block no live source weights stays +0.
+//
+// The live sources split into one contiguous chunk per worker; each
+// chunk forms its right-hand sides u_j + c0·y_j/h in place, makes one
+// batched ladder SolveMany — a single sweep over the factor — and
+// writes its sources' blocks. Source j reads and writes only its own
+// state, right-hand side and blocks, and a batched solve's per-column
+// arithmetic is independent of the batch, so coefficients are
+// bit-identical for every worker count, including 1.
 func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
-	n, b := sys.N, sys.Basis.Size()
+	n, b, nsrc := sys.N, sys.Basis.Size(), len(sys.Weights)
 	spA := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
 	g0 := sumTerms(sys.GTerms, n)
 	c0 := sumTerms(sys.CTerms, n)
@@ -171,25 +179,27 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 	spT := tr.Start("transient", obs.Int("steps", opts.Steps))
 	spT.MarkAllocsApprox() // the chunk fan-out allocates on worker goroutines
 	defer spT.End()
-	workers := parallel.Workers(opts.Workers)
-	if workers > b {
-		workers = b
-	}
+	workers := min(parallel.Workers(opts.Workers), nsrc)
 	reg := tr.Registry()
 	reg.Gauge("parallel.workers").Set(float64(workers))
 	stepMS := reg.Histogram("galerkin.step_ms", obs.MSBuckets)
 	stepsTotal := reg.Counter("galerkin.steps_total")
 	// galerkin.solve_ms.w<k> observes each chunk solve worker k runs:
-	// forming the chunk's right-hand sides plus its one SolveMany.
+	// forming the chunk's right-hand sides, its one SolveMany and
+	// writing its sources' blocks.
 	workerMS := make([]*obs.Histogram, workers)
 	for w := range workerMS {
 		workerMS[w] = reg.WorkerHistogram("galerkin.solve_ms", w, obs.MSBuckets)
 	}
-	blocks := make([][]float64, b)
-	rhsBlocks := make([][]float64, b)
+	blocks := alloc2(b, n)
+	// state[j] is y_j; rhs[j] receives u_j(t) and becomes the step's
+	// right-hand side in place.
+	state, rhs := alloc2(nsrc, n), alloc2(nsrc, n)
+	weighted := make([][]int, nsrc) // the blocks each source weights
 	for m := 0; m < b; m++ {
-		blocks[m] = make([]float64, n)
-		rhsBlocks[m] = make([]float64, n)
+		if j := sys.source(m); j >= 0 {
+			weighted[j] = append(weighted[j], m)
+		}
 	}
 	// Per-worker chunk scratch, reused every step: the C·x product and
 	// the chunk's solution and right-hand-side column headers.
@@ -199,24 +209,24 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 	}
 	scratch := make([]chunkScratch, workers)
 	for w := range scratch {
-		scratch[w] = chunkScratch{cx: make([]float64, n), xs: make([][]float64, 0, b), bs: make([][]float64, 0, b)}
+		scratch[w] = chunkScratch{cx: make([]float64, n), xs: make([][]float64, 0, nsrc), bs: make([][]float64, 0, nsrc)}
 	}
-	live := make([]bool, b)
-	cols := make([]int, 0, b) // live columns, ascending
-	// markLive adds every column whose fresh excitation has a nonzero
-	// entry.
+	live := make([]bool, nsrc)
+	srcs := make([]int, 0, nsrc) // live sources, ascending
+	// markLive adds every source that weights a block and whose fresh
+	// excitation has a nonzero entry.
 	markLive := func() {
 		grew := false
-		for m := range live {
-			if !live[m] && !allZero(rhsBlocks[m]) {
-				live[m], grew = true, true
+		for j := range live {
+			if !live[j] && len(weighted[j]) > 0 && !allZero(rhs[j]) {
+				live[j], grew = true, true
 			}
 		}
 		if grew {
-			cols = cols[:0]
-			for m, on := range live {
+			srcs = srcs[:0]
+			for j, on := range live {
 				if on {
-					cols = append(cols, m)
+					srcs = append(srcs, j)
 				}
 			}
 		}
@@ -232,34 +242,37 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 			solveStart = time.Now()
 		}
 		sc.xs, sc.bs = sc.xs[:0], sc.bs[:0]
-		for _, m := range cols[lo:hi] {
-			rhs := rhsBlocks[m]
+		for _, j := range srcs[lo:hi] {
+			r := rhs[j]
 			if step > 0 {
-				c0.MulVec(sc.cx, blocks[m])
-				for i := range rhs {
-					rhs[i] += sc.cx[i] / opts.Step
+				c0.MulVec(sc.cx, state[j])
+				for i := range r {
+					r[i] += sc.cx[i] / opts.Step
 				}
 			}
-			sc.xs = append(sc.xs, blocks[m])
-			sc.bs = append(sc.bs, rhs)
+			sc.xs = append(sc.xs, state[j])
+			sc.bs = append(sc.bs, r)
 		}
 		if step == 0 {
 			if err := dcLad.SolveMany(0, sc.xs, sc.bs); err != nil {
-				return fmt.Errorf("galerkin: decoupled DC solve (basis %d..%d): %w", cols[lo], cols[hi-1], err)
+				return fmt.Errorf("galerkin: decoupled DC solve (sources %d..%d): %w", srcs[lo], srcs[hi-1], err)
 			}
-			return nil
+		} else if err := lad.SolveMany(step, sc.xs, sc.bs); err != nil {
+			return fmt.Errorf("galerkin: decoupled step %d (sources %d..%d): %w", step, srcs[lo], srcs[hi-1], err)
 		}
-		if err := lad.SolveMany(step, sc.xs, sc.bs); err != nil {
-			return fmt.Errorf("galerkin: decoupled step %d (basis %d..%d): %w", step, cols[lo], cols[hi-1], err)
+		for _, j := range srcs[lo:hi] {
+			for _, m := range weighted[j] {
+				scaleTo(blocks[m], sys.Weights[j][m], state[j])
+			}
 		}
-		if workerMS[worker] != nil {
+		if step > 0 && workerMS[worker] != nil {
 			workerMS[worker].ObserveSince(solveStart)
 		}
 		return nil
 	}
-	sys.RHS(0, rhsBlocks)
+	sys.Sources(0, rhs)
 	markLive()
-	if err := parallel.Split(workers, len(cols), solveChunk); err != nil {
+	if err := parallel.Split(workers, len(srcs), solveChunk); err != nil {
 		return Result{}, err
 	}
 	if visit != nil {
@@ -272,9 +285,9 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 		step = k
 		t := float64(k) * opts.Step
 		stepStart := time.Now()
-		sys.RHS(t, rhsBlocks)
+		sys.Sources(t, rhs)
 		markLive()
-		if err := parallel.Split(workers, len(cols), solveChunk); err != nil {
+		if err := parallel.Split(workers, len(srcs), solveChunk); err != nil {
 			return Result{}, err
 		}
 		stepMS.ObserveSince(stepStart)
@@ -285,7 +298,9 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 		}
 		res.StepsRun = k
 	}
-	spT.SetAttrs(obs.Int("live_columns", len(cols)))
+	// live_columns counts the live sources: the columns of the batched
+	// solves.
+	spT.SetAttrs(obs.Int("live_columns", len(srcs)))
 	res.Factorer = lad.Rung()
 	// Escalations can have moved the solve to a costlier factor.
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
