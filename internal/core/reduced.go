@@ -33,7 +33,8 @@ type ReducedResult struct {
 // projected onto the same subspace, and the stochastic Galerkin
 // transient runs on the reduced model — for tens of states instead of
 // tens of thousands of nodes. The congruence preserves definiteness, so
-// the reduced Galerkin system factors with the same block Cholesky.
+// the reduced Galerkin system takes the same SPD solvers: CG and, for
+// a long window, the supernodal Cholesky of its block companion.
 //
 // morMoments block moments are matched about the reduction's automatic
 // expansion point; accuracy at the ports improves rapidly with it (see

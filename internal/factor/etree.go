@@ -1,11 +1,13 @@
 // Package factor implements sparse direct factorizations: an up-looking
 // Cholesky (LLᵀ) with elimination-tree symbolic analysis and pattern
-// reuse across numeric refactorizations, and a left-looking
-// Gilbert–Peierls LU with partial pivoting. Both accept a fill-reducing
+// reuse across numeric refactorizations, the supernodal blocked
+// Cholesky that every solve path runs, and a left-looking
+// Gilbert–Peierls LU with partial pivoting. All accept a fill-reducing
 // permutation computed by package order. These are the solvers behind
 // both the Monte Carlo baseline (thousands of refactorizations of one
-// pattern) and the single large stochastic Galerkin factorization that
-// gives OPERA its speed advantage.
+// pattern) and the stochastic Galerkin solves: the mean preconditioner,
+// the decoupled companion and the augmented companion of a long
+// window.
 package factor
 
 import "opera/internal/sparse"

@@ -38,26 +38,3 @@ func ExampleCholSymbolic_Factorize() {
 	// Output:
 	// x = [1 1]
 }
-
-// ExampleBlockCholesky factors a block-augmented system: a 2-node grid
-// pattern whose entries are 2×2 chaos blocks.
-func ExampleBlockCholesky() {
-	pattern := sparse.FromDense([][]float64{{1, 1}, {1, 1}})
-	bm := factor.NewBlockMatrix(pattern, 2)
-	ga := sparse.FromDense([][]float64{{4, -1}, {-1, 4}})
-	gg := sparse.FromDense([][]float64{{0.4, -0.1}, {-0.1, 0.4}})
-	bm.AddTerm(sparse.Identity(2), ga)                            // mean term
-	bm.AddTerm(sparse.FromDense([][]float64{{0, 1}, {1, 0}}), gg) // ξ coupling
-	f, err := factor.BlockCholesky(bm, nil)
-	if err != nil {
-		panic(err)
-	}
-	rhs := []float64{1, 0, 1, 0} // node-major: (node0: c0,c1), (node1: c0,c1)
-	x := make([]float64, 4)
-	f.Solve(x, rhs)
-	r := make([]float64, 4)
-	bm.MulVec(r, x)
-	fmt.Printf("residual[0] = %.1e\n", r[0]-rhs[0])
-	// Output:
-	// residual[0] = 0.0e+00
-}

@@ -14,7 +14,6 @@ type factorMetrics struct {
 	chol      *obs.Histogram
 	superChol *obs.Histogram
 	refactor  *obs.Histogram
-	blockChol *obs.Histogram
 	lu        *obs.Histogram
 	count     *obs.Counter
 	flops     *obs.Counter
@@ -25,7 +24,7 @@ var metrics atomic.Pointer[factorMetrics]
 
 // SetMetrics installs factorization-duration histograms
 // (factor.chol_ms, factor.supernodal_ms, factor.refactor_ms,
-// factor.block_chol_ms, factor.lu_ms), a total counter (factor.factorizations_total), a
+// factor.lu_ms), a total counter (factor.factorizations_total), a
 // cumulative work counter (factor.flops_total, symbolic estimates) and
 // a fill-ratio gauge (factor.fill_ratio, nnz(L)/nnz(upper(A)) of the
 // most recent factorization) on the registry; nil uninstalls them.
@@ -38,7 +37,6 @@ func SetMetrics(reg *obs.Registry) {
 		chol:      reg.Histogram("factor.chol_ms", obs.MSBuckets),
 		superChol: reg.Histogram("factor.supernodal_ms", obs.MSBuckets),
 		refactor:  reg.Histogram("factor.refactor_ms", obs.MSBuckets),
-		blockChol: reg.Histogram("factor.block_chol_ms", obs.MSBuckets),
 		lu:        reg.Histogram("factor.lu_ms", obs.MSBuckets),
 		count:     reg.Counter("factor.factorizations_total"),
 		flops:     reg.Counter("factor.flops_total"),

@@ -1,12 +1,10 @@
 package factor
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"opera/internal/order"
-	"opera/internal/sparse"
 )
 
 // TestSolveToWithScratchMatchesSolveTo pins the scratch variants to the
@@ -129,52 +127,4 @@ func BenchmarkCholSolveTo(b *testing.B) {
 			f.SolveToWithScratch(x, rhs, y)
 		}
 	})
-}
-
-// TestBlockMulVecSymMatchesMulVec checks the parallel symmetric block
-// apply against the scatter reference and its worker-count invariance.
-func TestBlockMulVecSymMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pattern := laplacian2D(10, 13, 0.4)
-	n := pattern.Rows
-	for _, B := range []int{1, 3, 6} {
-		// Assemble a symmetric block matrix: symmetric coupling ⊗
-		// symmetric node matrix, like the Galerkin operators.
-		coupling := sparse.NewTriplet(B, B, B*B)
-		for r := 0; r < B; r++ {
-			coupling.Add(r, r, 1+rng.Float64())
-			for c := r + 1; c < B; c++ {
-				v := rng.NormFloat64()
-				coupling.Add(r, c, v)
-				coupling.Add(c, r, v)
-			}
-		}
-		bm := NewBlockMatrix(pattern, B)
-		bm.AddTerm(coupling.Compile(), pattern)
-
-		x := make([]float64, n*B)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		ref := make([]float64, n*B)
-		bm.MulVec(ref, x)
-		serial := make([]float64, n*B)
-		bm.MulVecSym(serial, x, 1)
-		for i := range ref {
-			if d := ref[i] - serial[i]; d > 1e-10 || d < -1e-10 {
-				t.Fatalf("B=%d: gather differs from scatter at %d by %g", B, i, d)
-			}
-		}
-		for _, w := range []int{2, 4} {
-			t.Run(fmt.Sprintf("B=%d/workers=%d", B, w), func(t *testing.T) {
-				y := make([]float64, n*B)
-				bm.MulVecSym(y, x, w)
-				for i := range y {
-					if y[i] != serial[i] {
-						t.Fatalf("workers=%d: y[%d] = %.17g != serial %.17g", w, i, y[i], serial[i])
-					}
-				}
-			})
-		}
-	}
 }

@@ -7,14 +7,17 @@ import (
 	"testing/quick"
 
 	"opera/internal/factor"
+	"opera/internal/numguard"
+	"opera/internal/order"
 	"opera/internal/sparse"
 )
 
-// TestBlockAndFlatAssemblyAgree cross-validates the two independent
-// augmented-matrix construction paths: factor.BlockMatrix (node-major,
-// used by the solver) and sparse.AssembleBlocks (coefficient-major,
-// Eq. 19 reference). The same random term set must produce the same
-// matrix up to the block-layout permutation.
+// TestBlockAndFlatAssemblyAgree cross-validates the two layouts of the
+// augmented matrix: assembleBlock (node-major, the block ladder's
+// matrix) and sparse.AssembleBlocks on the same terms
+// (coefficient-major, Eq. 19 reference). The same random term set,
+// one of them a C term scaled by s, must produce the same matrix up to
+// the block-layout permutation.
 func TestBlockAndFlatAssemblyAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,17 +64,13 @@ func TestBlockAndFlatAssemblyAgree(t *testing.T) {
 		}
 		t1 := randCoupling(true)
 		t2 := randCoupling(false)
+		sc := 1 + rng.Float64() // the C term's scale, 1/h in the solver
 
-		// Path 1: block matrix on the union scalar pattern.
-		pattern := sparse.Add(1, a1, 1, a2)
-		bm := factor.NewBlockMatrix(pattern, bs)
-		bm.AddTerm(t1, a1)
-		bm.AddTerm(t2, a2)
-		nodeMajor := bm.ToCSC() // index = node·bs + m
-
+		// Path 1: the block ladder's node-major assembly (node·bs + m).
+		nodeMajor := assembleBlock(n, bs, []Term{{Coupling: t1, A: a1}}, []Term{{Coupling: t2, A: a2}}, sc)
 		// Path 2: Kronecker assembly (coefficient-major: m·n + node).
 		flat := sparse.AssembleBlocks(bs, n, []sparse.BlockTerm{
-			{T: t1, A: a1}, {T: t2, A: a2},
+			{T: t1, A: a1}, {T: t2.Clone().Scale(sc), A: a2},
 		})
 		// Compare under the layout permutation.
 		for i := 0; i < n*bs; i++ {
@@ -93,8 +92,9 @@ func TestBlockAndFlatAssemblyAgree(t *testing.T) {
 }
 
 // TestBlockCholeskyAgreesWithFlatCholesky solves the same random SPD
-// augmented system through the block factorization and through a scalar
-// Cholesky of the flattened matrix.
+// augmented system through the block ladder on assembleBlock's
+// node-major matrix, under a fill-reducing node ordering, and through
+// the simplicial Cholesky of the coefficient-major flat matrix.
 func TestBlockCholeskyAgreesWithFlatCholesky(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 15; trial++ {
@@ -121,16 +121,11 @@ func TestBlockCholeskyAgreesWithFlatCholesky(t *testing.T) {
 				coup[i][j], coup[j][i] = v, v
 			}
 		}
-		tc := sparse.FromDense(coup)
-		bm := factor.NewBlockMatrix(a, bs)
-		bm.AddTerm(sparse.Identity(bs), a)
-		bm.AddTerm(tc, pert)
-		bf, err := factor.BlockCholesky(bm, nil)
-		if err != nil {
-			t.Fatalf("trial %d: block: %v", trial, err)
-		}
-		flatCSC := bm.ToCSC()
-		sf, err := factor.Cholesky(flatCSC, nil)
+		terms := []Term{{Coupling: sparse.Identity(bs), A: a}, {Coupling: sparse.FromDense(coup), A: pert}}
+		comp := assembleBlock(n, bs, terms, nil, 0)
+		lad := numguard.NewLadder("step", numguard.Config{}, comp, comp.NormInf(),
+			blockRungs(comp, order.Permute(order.MethodAMD, a), bs, 2, numguard.Config{}, false, nil), nil)
+		sf, err := factor.Cholesky(sparse.AssembleBlocks(bs, n, toBlockTerms(terms)), nil)
 		if err != nil {
 			t.Fatalf("trial %d: flat: %v", trial, err)
 		}
@@ -139,11 +134,21 @@ func TestBlockCholeskyAgreesWithFlatCholesky(t *testing.T) {
 			rhs[i] = rng.NormFloat64()
 		}
 		x1 := make([]float64, n*bs)
-		bf.Solve(x1, rhs)
-		x2 := sf.Solve(rhs)
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-8*(1+math.Abs(x2[i])) {
-				t.Fatalf("trial %d: solutions differ at %d: %g vs %g", trial, i, x1[i], x2[i])
+		if err := lad.Solve(0, x1, rhs); err != nil || lad.Rung() != "block-cholesky" {
+			t.Fatalf("trial %d: block ladder on %s: %v", trial, lad.Rung(), err)
+		}
+		flatRHS := make([]float64, n*bs)
+		for i := 0; i < n; i++ {
+			for m := 0; m < bs; m++ {
+				flatRHS[m*n+i] = rhs[i*bs+m]
+			}
+		}
+		x2 := sf.Solve(flatRHS)
+		for i := 0; i < n; i++ {
+			for m := 0; m < bs; m++ {
+				if got, want := x1[i*bs+m], x2[m*n+i]; math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
+					t.Fatalf("trial %d: solutions differ at node %d block %d: %g vs %g", trial, i, m, got, want)
+				}
 			}
 		}
 	}

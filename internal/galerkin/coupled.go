@@ -26,9 +26,10 @@ const (
 	cgMaxIter = 1000
 )
 
-// maxBlockFactorBytes caps the block factor's values, nnz(L)·B²·8
-// bytes, for a cost handoff: a window whose block factor would be
-// larger stays on CG.
+// maxBlockFactorBytes caps the block factor's values for a cost
+// handoff: a window whose nnz(L)·B²·8 bytes, nnz(L) the scalar union
+// pattern's, exceed it stays on CG. The supernodal panels of that
+// factor store 1.17–1.20× this count on the synthetic grids.
 const maxBlockFactorBytes = 4 << 30
 
 // solveCoupled runs the general OPERA path, the paper's §5.2 "iterative
@@ -41,8 +42,10 @@ const maxBlockFactorBytes = 4 << 30
 // solves. Every solve on the numguard cadence is checked against its
 // true scaled residual.
 //
-// The block ladder (block-cholesky → lu → cg+ic0 on the assembled
-// G̃ + C̃/h) takes the rest of the window in two cases. A CG fault —
+// The block ladder (block-cholesky → lu → cg+ic0 on G̃ + C̃/h assembled
+// node-major; block-cholesky is the supernodal kernel, under the node
+// ordering lifted to the B unknowns of each node) takes the rest of
+// the window in two cases. A CG fault —
 // breakdown, a non-finite answer or a true residual above tolerance —
 // escalates: it records a transition and re-solves the step there. A
 // cost handoff is no fault: when, after the first step CG iterates on,
@@ -190,9 +193,9 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	blockStats := &factorStats{}
 	faulted, decided := false, false
 	toBlock := func() {
-		comp := assembleBlock(pattern, b, sys.GTerms, sys.CTerms, 1/opts.Step)
+		comp := assembleBlock(n, b, sys.GTerms, sys.CTerms, 1/opts.Step)
 		block = numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-			blockRungs(comp, perm, opts.Guard, opts.ForceLU, blockStats), rep)
+			blockRungs(comp, perm, b, workers, opts.Guard, opts.ForceLU, blockStats), rep)
 	}
 	// escalate records a CG fault and re-solves the step on the block
 	// ladder; the DC operator G̃ gets a ladder of its own.
@@ -208,9 +211,9 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 			rep.AddStepRetry()
 			return block.Solve(step, x, rhs)
 		}
-		gBM := assembleBlock(pattern, b, sys.GTerms, nil, 0)
-		dc := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
-			blockRungs(gBM, perm, opts.Guard, opts.ForceLU, nil), rep)
+		g := assembleBlock(n, b, sys.GTerms, nil, 0)
+		dc := numguard.NewLadder("dc", opts.Guard, g, g.NormInf(),
+			blockRungs(g, perm, b, workers, opts.Guard, opts.ForceLU, nil), rep)
 		return dc.Solve(0, x, rhs)
 	}
 
@@ -304,7 +307,11 @@ type handoffCounts struct {
 // pays per step the measured iteration count times one iteration: the
 // batched preconditioner's 2·nnz(L₀)·B, the Kronecker apply's MACs
 // and five length-n·B vector updates. The block factor must also fit
-// maxBlockFactorBytes.
+// maxBlockFactorBytes. F and nnz(L) come from the scalar pattern,
+// which prices the supernodal factor of the expanded pattern 3–12%
+// high; analyzing the expanded pattern instead would cost every CG
+// window about 70 times the scalar analysis on a 2,570-node order-2
+// grid.
 func (c handoffCounts) blockCheaper() bool {
 	b := float64(c.b)
 	if float64(c.blockLNNZ)*b*b*8 > maxBlockFactorBytes {
@@ -316,18 +323,19 @@ func (c handoffCounts) blockCheaper() bool {
 	return block < cg
 }
 
-// assembleBlock builds the block matrix G̃ + s·C̃ on the scalar union
-// pattern, the operator of the block ladder (nil cTerms: G̃ alone).
-// Only a handoff or a CG fault assembles one.
-func assembleBlock(pattern *sparse.Matrix, b int, gTerms, cTerms []Term, s float64) *factor.BlockMatrix {
-	m := factor.NewBlockMatrix(pattern, b)
+// assembleBlock builds G̃ + s·C̃ (nil cTerms: G̃ alone), the matrix of
+// the block ladder, as one CSC matrix with node-major indexing i·B+m:
+// each term enters as A ⊗ T, the node matrix the outer factor. Only a
+// handoff or a CG fault assembles one.
+func assembleBlock(n, b int, gTerms, cTerms []Term, s float64) *sparse.Matrix {
+	var terms []sparse.BlockTerm
 	for _, t := range gTerms {
-		m.AddTerm(t.Coupling, t.A)
+		terms = append(terms, sparse.BlockTerm{T: t.A, A: t.Coupling})
 	}
 	for _, t := range cTerms {
-		m.AddTerm(t.Coupling.Clone().Scale(s), t.A)
+		terms = append(terms, sparse.BlockTerm{T: t.A, A: t.Coupling.Clone().Scale(s)})
 	}
-	return m
+	return sparse.AssembleBlocks(n, b, terms)
 }
 
 // unionScalarPattern returns the union sparsity pattern of every term's

@@ -12,58 +12,53 @@ import (
 	"opera/internal/obs"
 	"opera/internal/order"
 	"opera/internal/pce"
+	"opera/internal/sparse"
 )
 
-// blockDirect is the coupled path's test oracle: the block ladder
-// (block-cholesky → lu → cg+ic0) on the assembled G̃ for DC and
-// G̃ + C̃/h for the steps, stepped once per step with no CG at all —
-// the direct solve a handoff or a CG fault moves the window onto. It
-// returns every step's coefficient blocks.
+// blockDirect is the coupled path's test oracle, independent of the
+// kernels under test: the coefficient-major G̃ and G̃ + C̃/h
+// (System.AssembleG, AssembleC), each factored once by the simplicial
+// factor.Cholesky and stepped once per step with no CG at all — the
+// direct solve a handoff or a CG fault moves the window onto. Unknown
+// m·n+i is chaos block m at node i, so the blocks read straight out of
+// the solution. It returns every step's coefficient blocks.
 func blockDirect(t *testing.T, sys *System, opts Options) [][][]float64 {
 	t.Helper()
 	n, b := sys.N, sys.Basis.Size()
-	pattern := unionScalarPattern(sys)
-	perm := order.Permute(opts.Ordering, pattern)
-	comp := assembleBlock(pattern, b, sys.GTerms, sys.CTerms, 1/opts.Step)
-	gBM := assembleBlock(pattern, b, sys.GTerms, nil, 0)
-	cBM := assembleBlock(pattern, b, nil, sys.CTerms, 1)
-	lad := numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-		blockRungs(comp, perm, opts.Guard, false, nil), nil)
-	dc := numguard.NewLadder("dc", opts.Guard, gBM, gBM.NormInf(),
-		blockRungs(gBM, perm, opts.Guard, false, nil), nil)
+	g, c := sys.AssembleG(), sys.AssembleC()
+	chol := func(a *sparse.Matrix) *factor.CholFactor {
+		f, err := factor.Cholesky(a, order.Permute(opts.Ordering, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	dc, step := chol(g), chol(sparse.Add(1, g, 1/opts.Step, c))
 	x, rhs, cx := make([]float64, n*b), make([]float64, n*b), make([]float64, n*b)
 	blocks := alloc2(b, n)
 	load := func(tm float64) {
 		sys.RHS(tm, blocks)
-		for m := range blocks {
-			for i, v := range blocks[m] {
-				rhs[i*b+m] = v
-			}
+		for m, blk := range blocks {
+			copy(rhs[m*n:(m+1)*n], blk)
 		}
 	}
 	snaps := make([][][]float64, opts.Steps+1)
 	snap := func(k int) {
 		snaps[k] = alloc2(b, n)
-		for m := range snaps[k] {
-			for i := range snaps[k][m] {
-				snaps[k][m][i] = x[i*b+m]
-			}
+		for m, blk := range snaps[k] {
+			copy(blk, x[m*n:(m+1)*n])
 		}
 	}
 	load(0)
-	if err := dc.Solve(0, x, rhs); err != nil {
-		t.Fatal(err)
-	}
+	dc.SolveTo(x, rhs)
 	snap(0)
 	for k := 1; k <= opts.Steps; k++ {
 		load(float64(k) * opts.Step)
-		cBM.MulVecSym(cx, x, 1)
+		c.MulVec(cx, x)
 		for i := range rhs {
 			rhs[i] += cx[i] / opts.Step
 		}
-		if err := lad.Solve(k, x, rhs); err != nil {
-			t.Fatal(err)
-		}
+		step.SolveTo(x, rhs)
 		snap(k)
 	}
 	return snaps
@@ -167,13 +162,16 @@ func TestLongWindowHandsOffToBlock(t *testing.T) {
 	if len(rep.Transitions) != 0 || !rep.Healthy() {
 		t.Errorf("a cost handoff is no fault: %s, transitions %v", rep.Summary(), rep.Transitions)
 	}
+	// The facts are the supernodal analysis of the node-major block
+	// companion under the solve's node ordering, lifted to its unknowns.
+	n, b := gsys.N, basis.Size()
 	pattern := unionScalarPattern(gsys)
-	sym := factor.CholAnalyze(pattern, order.Permute(opts.Ordering, pattern))
-	b := basis.Size()
-	if want := sym.LNNZ() * b * b; res.FactorNNZ != want {
+	comp := assembleBlock(n, b, gsys.GTerms, gsys.CTerms, 1/opts.Step)
+	sym := factor.CholAnalyzeSupernodal(comp, expandPerm(order.Permute(opts.Ordering, pattern), b), -1)
+	if want := sym.LNNZ(); res.FactorNNZ != want {
 		t.Errorf("factor nnz %d, want the block factor's %d", res.FactorNNZ, want)
 	}
-	if want := sym.FlopEstimate() * int64(b*b*b); res.FactorFlops != want {
+	if want := sym.FlopEstimate(); res.FactorFlops != want {
 		t.Errorf("factor flops %d, want the block factor's %d", res.FactorFlops, want)
 	}
 	if res.CondEst <= 0 {
@@ -184,8 +182,11 @@ func TestLongWindowHandsOffToBlock(t *testing.T) {
 
 // TestHandoffRule pins the cost rule as a pure function of its counts.
 func TestHandoffRule(t *testing.T) {
-	// A 2,570-node order-2 grid: the block factor's F·B³ is
-	// 541,932,768 (F = 2,508,948), its nnz(L) 49,802 per chaos pair.
+	// The model's counts on a 2,570-node order-2 grid: F·B³ =
+	// 541,932,768 (F = 2,508,948) and nnz(L) 49,802 per chaos pair, from
+	// the scalar union pattern. The supernodal kernel that factors the
+	// block companion measures 527,260,856 flops and nnz(L) 1,677,904
+	// there; the model prices the block side 3–12% high.
 	base := handoffCounts{
 		n: 2570, b: 6, cgIters: 6,
 		precondLNNZ: 49802, blockLNNZ: 49802,
@@ -238,7 +239,7 @@ func TestHandoffRule(t *testing.T) {
 }
 
 // TestKronApplyDeterminism checks the Kronecker-form operators against
-// the assembled block matrix expanded to CSC — MulVec to 1e-14 of
+// the assembled node-major block matrix — MulVec to 1e-14 of
 // ‖y‖∞, normInf to 1e-14 relative — and that MulVec is bitwise
 // identical at every worker count. The system carries three non-identity
 // couplings (linear G, linear C and a quadratic G term).
@@ -251,7 +252,6 @@ func TestKronApplyDeterminism(t *testing.T) {
 	}
 	gsys.GTerms = append(gsys.GTerms, Term{Coupling: basis.CouplingExpansion(quad), A: gsys.GTerms[1].A.Clone().Scale(0.3)})
 	n, b := gsys.N, basis.Size()
-	pattern := unionScalarPattern(gsys)
 	x := make([]float64, n*b)
 	for i := range x {
 		x[i] = math.Sin(float64(i)) + 0.5
@@ -265,9 +265,9 @@ func TestKronApplyDeterminism(t *testing.T) {
 		{"C", nil, gsys.CTerms, 1},
 		{"G+C/h", gsys.GTerms, gsys.CTerms, 1 / 1e-10},
 	} {
-		ref := assembleBlock(pattern, b, tc.g, tc.c, tc.cScale)
+		ref := assembleBlock(n, b, tc.g, tc.c, tc.cScale)
 		want := make([]float64, n*b)
-		ref.ToCSC().MulVec(want, x)
+		ref.MulVec(want, x)
 		scale := numguard.NormInf(want)
 		var first []float64
 		for _, w := range []int{1, 2, 3, 4, 7} {

@@ -11,15 +11,17 @@ import (
 )
 
 // This file wires the numguard escalation ladder into the Galerkin
-// solve paths. Each ladder holds exactly one Cholesky rung, the kernel
-// its matrix shape implies: block companions run block-cholesky → lu →
-// cg+ic0, scalar systems run supernodal → lu → cg+ic0. A second
-// Cholesky of the same matrix under the same permutation would fail
-// the same way, so the next rung is LU with a pivot-growth acceptance
-// check, which does not depend on positive definiteness, and
-// IC(0)-preconditioned CG is the last resort. Every factorization is
-// attempted lazily: a healthy block run never expands the block matrix
-// to CSC at all.
+// solve paths. Every ladder runs supernodal Cholesky → lu → cg+ic0 on
+// a CSC matrix: scalar systems (the decoupled companion, the coupled
+// preconditioners) and the node-major block companion of the coupled
+// path's direct solve alike. The Cholesky rung's wire name tells the
+// two apart: "supernodal" on scalar systems, "block-cholesky" on the
+// block companion, so health reports, Result.Factorer and fault
+// injection name the block ladder alone. A second Cholesky of the same
+// matrix under the same permutation would fail the same way, so the
+// next rung is LU with a pivot-growth acceptance check, which does not
+// depend on positive definiteness, and IC(0)-preconditioned CG is the
+// last resort.
 
 // expandPerm lifts a node permutation to node-major scalar indexing
 // (global unknown i·B+m).
@@ -56,16 +58,29 @@ func (st *factorStats) set(nnz int, flops int64, fill float64) {
 }
 
 // scalarRungs builds the ladder rungs for a scalar (n×n) system
-// matrix: supernodal → lu (pivot-growth checked) → cg+ic0. forceLU
-// drops the Cholesky rung (the ablation switch). workers caps the
-// supernodal factorization's task pool — the factor is bit-identical
-// for every value. st, when non-nil, receives the factor's cost facts
-// on each successful direct factorization.
+// matrix: supernodal → lu → cg+ic0.
 func scalarRungs(a *sparse.Matrix, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+	return ladderRungs("supernodal", a, perm, workers, cfg, forceLU, st)
+}
+
+// blockRungs builds the ladder rungs for a node-major block companion
+// (assembleBlock) under the node permutation perm, lifted to its b
+// unknowns per node: block-cholesky → lu → cg+ic0.
+func blockRungs(a *sparse.Matrix, perm []int, b, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+	return ladderRungs("block-cholesky", a, expandPerm(perm, b), workers, cfg, forceLU, st)
+}
+
+// ladderRungs builds a ladder over the symmetric matrix a: the
+// supernodal Cholesky rung named chol → lu (pivot-growth checked) →
+// cg+ic0. forceLU drops the Cholesky rung (the ablation switch).
+// workers caps the supernodal factorization's task pool — the factor
+// is bit-identical for every value. st, when non-nil, receives the
+// factor's cost facts on each successful direct factorization.
+func ladderRungs(chol string, a *sparse.Matrix, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
 	cfg = cfg.WithDefaults()
-	var rungs []numguard.Rung
+	var out []numguard.Rung
 	if !forceLU {
-		rungs = append(rungs, numguard.Rung{Name: "supernodal", Prepare: func() (numguard.Solver, error) {
+		out = append(out, numguard.Rung{Name: chol, Prepare: func() (numguard.Solver, error) {
 			sym := factor.CholAnalyzeSupernodal(a, perm, -1)
 			f, err := sym.Factorize(a, nil, parallel.Workers(workers))
 			if err != nil {
@@ -75,50 +90,13 @@ func scalarRungs(a *sparse.Matrix, perm []int, workers int, cfg numguard.Config,
 			return f, nil
 		}})
 	}
-	return append(rungs,
-		luRung(func() (*sparse.Matrix, []int) { return a, perm }, cfg.PivotGrowthMax, st),
-		cgRung(a, func() *sparse.Matrix { return a }),
-	)
-}
-
-// blockRungs builds the ladder rungs for a block companion matrix:
-// block-cholesky → lu → cg+ic0, with forceLU dropping the Cholesky
-// rung. The CSC expansion and the expanded permutation that LU and
-// CG need are computed at most once, and only when a rung past
-// block-cholesky is prepared.
-func blockRungs(m *factor.BlockMatrix, perm []int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
-	cfg = cfg.WithDefaults()
-	var csc *sparse.Matrix
-	var scalPerm []int
-	expand := func() (*sparse.Matrix, []int) {
-		if csc == nil {
-			csc = m.ToCSC()
-			scalPerm = expandPerm(perm, m.B)
-		}
-		return csc, scalPerm
-	}
-	var rungs []numguard.Rung
-	if !forceLU {
-		rungs = append(rungs, numguard.Rung{Name: "block-cholesky", Prepare: func() (numguard.Solver, error) {
-			f, err := factor.BlockCholesky(m, perm)
-			if err != nil {
-				return nil, err
-			}
-			st.set(f.NNZ(), f.FlopEstimate(), f.FillRatio())
-			return numguard.SolverFunc(func(x, b []float64) { f.Solve(x, b) }), nil
-		}})
-	}
-	return append(rungs,
-		luRung(expand, cfg.PivotGrowthMax, st),
-		cgRung(m, func() *sparse.Matrix { a, _ := expand(); return a }),
-	)
+	return append(out, luRung(a, perm, cfg.PivotGrowthMax, st), cgRung(a))
 }
 
 // luRung factors with partial-pivoting LU and rejects factors whose
 // element growth signals lost backward stability.
-func luRung(mat func() (*sparse.Matrix, []int), growthMax float64, st *factorStats) numguard.Rung {
+func luRung(a *sparse.Matrix, perm []int, growthMax float64, st *factorStats) numguard.Rung {
 	return numguard.Rung{Name: "lu", Prepare: func() (numguard.Solver, error) {
-		a, perm := mat()
 		f, err := factor.LU(a, perm)
 		if err != nil {
 			return nil, err
@@ -139,9 +117,9 @@ func luRung(mat func() (*sparse.Matrix, []int), growthMax float64, st *factorSta
 // cold-started per solve. Convergence failures are left to the ladder's
 // residual verification — the rung never returns an unverified answer
 // as success.
-func cgRung(op iterative.Operator, mat func() *sparse.Matrix) numguard.Rung {
+func cgRung(a *sparse.Matrix) numguard.Rung {
 	return numguard.Rung{Name: "cg+ic0", Prepare: func() (numguard.Solver, error) {
-		pre, err := iterative.NewIC0(mat())
+		pre, err := iterative.NewIC0(a)
 		if err != nil {
 			return nil, fmt.Errorf("IC(0) preconditioner: %w", err)
 		}
@@ -154,7 +132,7 @@ func cgRung(op iterative.Operator, mat func() *sparse.Matrix) numguard.Rung {
 			}
 			// The error is deliberately dropped: the ladder verifies the
 			// residual of whatever CG produced and diagnoses on failure.
-			_, _ = iterative.CG(op, x, rhs, iterative.CGOptions{Tol: 1e-12, MaxIter: 20 * len(b), M: pre})
+			_, _ = iterative.CG(a, x, rhs, iterative.CGOptions{Tol: 1e-12, MaxIter: 20 * len(b), M: pre})
 		}), nil
 	}}
 }

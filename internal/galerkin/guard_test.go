@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"opera/internal/factor"
 	"opera/internal/mna"
 	"opera/internal/numguard"
 	"opera/internal/numguard/inject"
@@ -25,11 +24,11 @@ import (
 // fault ever yields NaN/Inf chaos coefficients without an
 // accompanying error.
 
-// TestLadderShapes pins one Cholesky rung per ladder, the kernel the
-// matrix shape implies, followed by LU and CG; forceLU drops it.
+// TestLadderShapes pins one Cholesky rung per ladder, named for the
+// matrix shape, followed by LU and CG; forceLU drops it.
 func TestLadderShapes(t *testing.T) {
 	a := sparse.FromDense([][]float64{{2, -1}, {-1, 2}})
-	bm := factor.NewBlockMatrix(a, 2)
+	bm := assembleBlock(2, 2, []Term{{Coupling: sparse.Identity(2), A: a}}, nil, 0)
 	names := func(rungs []numguard.Rung) []string {
 		var out []string
 		for _, r := range rungs {
@@ -45,8 +44,8 @@ func TestLadderShapes(t *testing.T) {
 	}{
 		{"scalar", scalarRungs(a, nil, 1, cfg, false, nil), []string{"supernodal", "lu", "cg+ic0"}},
 		{"scalar/forceLU", scalarRungs(a, nil, 1, cfg, true, nil), []string{"lu", "cg+ic0"}},
-		{"block", blockRungs(bm, nil, cfg, false, nil), []string{"block-cholesky", "lu", "cg+ic0"}},
-		{"block/forceLU", blockRungs(bm, nil, cfg, true, nil), []string{"lu", "cg+ic0"}},
+		{"block", blockRungs(bm, nil, 2, 1, cfg, false, nil), []string{"block-cholesky", "lu", "cg+ic0"}},
+		{"block/forceLU", blockRungs(bm, nil, 2, 1, cfg, true, nil), []string{"lu", "cg+ic0"}},
 	} {
 		if got := names(tc.rungs); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s ladder %v, want %v", tc.name, got, tc.want)

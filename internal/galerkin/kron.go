@@ -7,8 +7,7 @@ import (
 	"opera/internal/sparse"
 )
 
-// kronChunk is the block-row granularity of kronOp.MulVec, the 64 rows
-// factor.BlockMatrix.MulVecSym also uses.
+// kronChunk is the block-row granularity of kronOp.MulVec.
 const kronChunk = 64
 
 // kronOp applies one of the Eq. 19 operators y = Σ_t s_t·(A_t ⊗ T_t)·x
@@ -107,8 +106,8 @@ func (k *kronOp) macs() int64 {
 }
 
 // normInf returns the operator's ∞-norm, the maximum absolute row sum
-// of its assembled blocks (what factor.BlockMatrix.NormInf gives for
-// the same operator), accumulating one block row at a time.
+// of its assembled blocks (what NormInf of the same operator's
+// assembleBlock gives), accumulating one block row at a time.
 func (k *kronOp) normInf() float64 {
 	b, bb := k.b, k.b*k.b
 	terms := append([]Term{{Coupling: sparse.Identity(b), A: k.mean}}, k.terms...)

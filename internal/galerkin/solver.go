@@ -74,15 +74,16 @@ type Result struct {
 	Decoupled bool
 	// Factorer names what served the solve. Coupled: "cg+mean-precond"
 	// (CG on the augmented system), the block ladder's rung
-	// ("block-cholesky", "lu" under ForceLU) after a cost handoff, or
+	// ("block-cholesky", the supernodal kernel on the block companion;
+	// "lu" under ForceLU) after a cost handoff, or
 	// "cg+mean-precond→<rung>" after a CG fault escalated to it.
 	// Decoupled: the scalar ladder's rung ("supernodal", "lu" or
 	// "cg+ic0").
 	Factorer   string
 	AugmentedN int // size of the augmented system
-	// FactorNNZ is the scalar-equivalent nnz of the factor the steps
-	// ran on: the mean preconditioner's while CG serves, the block
-	// factor's after a handoff or escalation (0 on the pure-CG rung).
+	// FactorNNZ is nnz(L) of the factor the steps ran on: the mean
+	// preconditioner's while CG serves, the block companion's after a
+	// handoff or escalation (0 on the pure-CG rung).
 	FactorNNZ int
 	StepsRun  int
 

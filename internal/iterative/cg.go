@@ -20,7 +20,8 @@ import (
 var ErrNoConvergence = errors.New("iterative: no convergence")
 
 // Operator is anything that can apply a square linear map — a
-// sparse.Matrix, a factor.BlockMatrix, or a matrix-free closure.
+// sparse.Matrix, the coupled Galerkin path's Kronecker-form operator,
+// or a matrix-free closure.
 type Operator interface {
 	MulVec(y, x []float64)
 }

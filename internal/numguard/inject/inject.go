@@ -13,8 +13,11 @@ import (
 )
 
 // Faults describes the active fault set. Maps are keyed by rung name
-// ("block-cholesky", "supernodal", "lu", "cg+ic0", ...); the empty string
-// matches every rung.
+// ("cg+mean-precond", "supernodal", "block-cholesky", "lu", "cg+ic0");
+// the empty string matches every rung. "supernodal" and
+// "block-cholesky" run the same kernel, the latter on the coupled
+// path's block companion only, so a key fails one ladder's Cholesky
+// and not the other's.
 type Faults struct {
 	// FailPrepare[rung] = k fails the next k factorization attempts of
 	// that rung (k < 0: fail forever).

@@ -1,8 +1,8 @@
 // Package numguard is the numerical-robustness layer of the solver: no
 // factorization-backed answer leaves the system unverified. It provides
 // residual verification with capped iterative refinement, an escalation
-// ladder over increasingly robust solver rungs (block Cholesky → scalar
-// Cholesky → LU with a pivot-growth check → preconditioned CG),
+// ladder over increasingly robust solver rungs (supernodal Cholesky →
+// LU with a pivot-growth check → preconditioned CG),
 // NaN/Inf sentinels on solution vectors, a Hager/Higham 1-norm
 // condition estimate, and a structured Diagnosis error carrying the
 // full failure history when every rung is exhausted. The companion

@@ -18,7 +18,9 @@ type BlockTerm struct {
 // AssembleBlocks builds Σ_terms T_k ⊗ A_k as a single (B·n)×(B·n) CSC
 // matrix. Every T must be B×B and every A must be n×n with identical n.
 // The block layout is coefficient-major: global index = I·n + i for
-// block I and node i.
+// block I and node i. With the roles swapped — the node matrix as T,
+// the coupling as A — the same call gives the node-major layout
+// i·B + I that the Galerkin block ladder factors.
 func AssembleBlocks(b, n int, terms []BlockTerm) *Matrix {
 	if b <= 0 || n <= 0 {
 		panic(fmt.Sprintf("sparse: AssembleBlocks invalid sizes b=%d n=%d", b, n))

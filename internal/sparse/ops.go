@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"opera/internal/parallel"
-)
+import "fmt"
 
 // MulVec computes y = A·x. y must have length A.Rows and is overwritten.
 func (m *Matrix) MulVec(y, x []float64) {
@@ -41,57 +37,6 @@ func (m *Matrix) MulVecAdd(y []float64, alpha float64, x []float64) {
 			y[m.Rowi[p]] += m.Val[p] * xj
 		}
 	}
-}
-
-// mulVecSymChunk is the row granularity of MulVecSym: small enough to
-// load-balance grids whose column lengths vary, large enough that the
-// pool overhead stays negligible against the dot products.
-const mulVecSymChunk = 256
-
-// MulVecSym computes y = A·x for a *symmetric* A (full pattern stored),
-// row-partitioned across up to `workers` goroutines. By symmetry row i
-// of A equals column i, so each output element is one column gather:
-//
-//	y[i] = Σ_p Val[p]·x[Rowi[p]]  over column i
-//
-// Every y[i] is produced whole by exactly one worker from the same
-// inputs in the same order, so the result is bit-identical to the
-// serial gather for any worker count — this is the deterministic
-// parallel apply used by the coupled Galerkin stepping loop. With
-// workers <= 1 it degrades to a plain serial gather.
-func (m *Matrix) MulVecSym(y, x []float64, workers int) {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("sparse: MulVecSym requires a square (symmetric) matrix, got %dx%d", m.Rows, m.Cols))
-	}
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecSym dimension mismatch: A is %dx%d, x %d, y %d", m.Rows, m.Cols, len(x), len(y)))
-	}
-	countMatvec(m.NNZ())
-	n := m.Rows
-	gather := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			s := 0.0
-			for p := m.Colp[j]; p < m.Colp[j+1]; p++ {
-				s += m.Val[p] * x[m.Rowi[p]]
-			}
-			y[j] = s
-		}
-	}
-	if workers <= 1 || n <= mulVecSymChunk {
-		gather(0, n)
-		return
-	}
-	chunks := (n + mulVecSymChunk - 1) / mulVecSymChunk
-	// Chunks write disjoint y ranges; errors are impossible here.
-	_ = parallel.ForEach(workers, chunks, func(_, c int) error {
-		lo := c * mulVecSymChunk
-		hi := lo + mulVecSymChunk
-		if hi > n {
-			hi = n
-		}
-		gather(lo, hi)
-		return nil
-	})
 }
 
 // MulVecT computes y = Aᵀ·x. y must have length A.Cols.

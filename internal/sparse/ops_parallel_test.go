@@ -1,62 +1,9 @@
 package sparse
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// randomSymmetric builds a random n×n symmetric matrix (full pattern
-// stored) with a strictly positive diagonal.
-func randomSymmetric(rng *rand.Rand, n int, density float64) *Matrix {
-	tr := NewTriplet(n, n, n*4)
-	for i := 0; i < n; i++ {
-		tr.Add(i, i, 1+rng.Float64())
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < density {
-				v := rng.NormFloat64()
-				tr.Add(i, j, v)
-				tr.Add(j, i, v)
-			}
-		}
-	}
-	return tr.Compile()
-}
-
-// TestMulVecSymMatchesMulVec checks the parallel symmetric apply
-// against the serial scatter reference, and — the determinism contract
-// — that every worker count yields bit-identical output.
-func TestMulVecSymMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 17, 300, 1000} {
-		a := randomSymmetric(rng, n, 8.0/float64(n+1))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		ref := make([]float64, n)
-		a.MulVec(ref, x)
-
-		serial := make([]float64, n)
-		a.MulVecSym(serial, x, 1)
-		for i := range ref {
-			if d := abs(serial[i] - ref[i]); d > 1e-12 {
-				t.Fatalf("n=%d: serial gather differs from MulVec at %d by %g", n, i, d)
-			}
-		}
-		for _, w := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(t *testing.T) {
-				y := make([]float64, n)
-				a.MulVecSym(y, x, w)
-				for i := range y {
-					if y[i] != serial[i] {
-						t.Fatalf("workers=%d: y[%d] = %.17g != serial %.17g", w, i, y[i], serial[i])
-					}
-				}
-			})
-		}
-	}
-}
 
 func TestPermVecToMatchesPermVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -81,23 +28,5 @@ func TestPermVecToMatchesPermVec(t *testing.T) {
 		if gotInv[i] != wantInv[i] {
 			t.Fatalf("InvPermVecTo[%d] = %g, want %g", i, gotInv[i], wantInv[i])
 		}
-	}
-}
-
-func BenchmarkMulVecSym(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 20000
-	a := randomSymmetric(rng, n, 6.0/float64(n))
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a.MulVecSym(y, x, w)
-			}
-		})
 	}
 }
