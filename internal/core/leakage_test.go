@@ -12,6 +12,7 @@ import (
 	"opera/internal/galerkin"
 	"opera/internal/mna"
 	"opera/internal/netlist"
+	"opera/internal/obs"
 	"opera/internal/order"
 	"opera/internal/randvar"
 	"opera/internal/sparse"
@@ -307,9 +308,10 @@ func TestLeakageRegionOutsideRange(t *testing.T) {
 
 // TestLeakageForceCoupledHonorsOptions checks that the coupled ablation
 // passes Ctx and Ordering through as AnalyzeLeakage does: a canceled
-// context stops it, and its mean preconditioner factors the companion
-// under the requested ordering (the companion the decoupled path
-// factors, so the two report the same nnz).
+// context stops it, and its mean preconditioner (its operator does not
+// vary, so nothing is separable: precond=mean, one factor) factors the
+// companion under the requested ordering (the companion the decoupled
+// path factors, so the two report the same nnz).
 func TestLeakageForceCoupledHonorsOptions(t *testing.T) {
 	_, nl := testSystem(t, 200, 41)
 	opts := LeakageOptions{Regions: 4, SigmaLogI: 0.6, Order: 2, Step: 1e-10, Steps: 4}
@@ -334,12 +336,23 @@ func TestLeakageForceCoupledHonorsOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr := obs.New("leakage-coupled")
+		o.Obs = tr
 		cpl, err := AnalyzeLeakageForceCoupled(nl, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cpl.Galerkin.Decoupled {
 			t.Fatal("AnalyzeLeakageForceCoupled took the decoupled path")
+		}
+		precond := "no factor span"
+		for _, sp := range tr.Dump().Spans {
+			if sp.Name == "factor" {
+				precond = sp.Attrs["precond"] + "/" + sp.Attrs["precond_factors"]
+			}
+		}
+		if precond != "mean/1" {
+			t.Errorf("%v: factor span precond/precond_factors %q, want mean/1", m, precond)
 		}
 		nnz[m] = [2]int{dec.Galerkin.FactorNNZ, cpl.Galerkin.FactorNNZ}
 		if nnz[m][0] != nnz[m][1] {

@@ -79,8 +79,8 @@ func FormatOrderSweep(rows []OrderSweepRow) *report.Table {
 }
 
 // OrderingRow records the coupled solve's factorization cost under one
-// fill-reducing ordering: the nnz of the factor its steps ran on (the
-// mean preconditioner's on this 20-step window).
+// fill-reducing ordering: the nnz of the factor its steps ran on (one
+// preconditioner factor's on this 20-step window).
 type OrderingRow struct {
 	Ordering  order.Method
 	FactorNNZ int

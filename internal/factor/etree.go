@@ -5,9 +5,9 @@
 // Gilbert–Peierls LU with partial pivoting. All accept a fill-reducing
 // permutation computed by package order. These are the solvers behind
 // both the Monte Carlo baseline (thousands of refactorizations of one
-// pattern) and the stochastic Galerkin solves: the mean preconditioner,
-// the decoupled companion and the augmented companion of a long
-// window.
+// pattern) and the stochastic Galerkin solves: the coupled
+// preconditioner's companions, the decoupled companion and the
+// augmented companion of a long window.
 package factor
 
 import "opera/internal/sparse"

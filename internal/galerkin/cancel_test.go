@@ -49,9 +49,10 @@ func cancelTestSystem(t *testing.T, rhsOnly bool) *System {
 // solvable again (factors and the numguard ladder are not poisoned by
 // the abort).
 func TestSolveCancelAllPaths(t *testing.T) {
-	// The excited grid's pulse starts at t = 0, so the 200-step window
-	// hands off to the block factor after step 1; the small grid's
-	// steps 1–4 are quiet and CG serves them without a handoff.
+	// The excited grid's pulse starts at t = 0 and its variation is not
+	// separable, so the 200-step window hands off to the block factor
+	// after step 1; the small grid's steps 1–4 are quiet and CG serves
+	// them without a handoff.
 	excited := func(t *testing.T) *System {
 		gsys, err := From(excitedGrid(t), pce.NewHermiteBasis(2, 2))
 		if err != nil {

@@ -16,7 +16,9 @@ import (
 )
 
 // meanPrecondRung names the coupled path's CG solve in Result.Factorer,
-// transitions and fault injection.
+// transitions and fault injection. "Mean" names the factored mean node
+// matrices G₀ and C₀ its preconditioner is built from, separable or
+// not.
 const meanPrecondRung = "cg+mean-precond"
 
 // The coupled CG solves stop at this relative recurrence residual; the
@@ -36,11 +38,14 @@ const maxBlockFactorBytes = 4 << 30
 // block solver with an appropriate pre-conditioner": preconditioned
 // conjugate gradients on the augmented system (Eq. 19), G̃ for the DC
 // solve and G̃ + C̃/h for every step. The operators apply term by term
-// in Kronecker form (kronOp), never assembled. The preconditioner is
-// the block-diagonal mean I_B ⊗ (G₀ + C₀/h)⁻¹ (I_B ⊗ G₀⁻¹ for DC): one
-// scalar factorization, applied to the B chaos columns as batched
-// solves. Every solve on the numguard cadence is checked against its
-// true scaled residual.
+// in Kronecker form (kronOp), never assembled. The preconditioner
+// (precond.go) is the exact inverse when the variation is separable,
+// every non-identity term a multiple of the mean node matrix: B
+// shifted companions G₀ + λ_m·C₀/h in the chaos eigenbasis, so CG
+// takes one iteration per step. Otherwise it is the block-diagonal
+// mean I_B ⊗ (G₀ + C₀/h)⁻¹ (I_B ⊗ G₀⁻¹ for DC). Either applies to the B
+// chaos columns as batched solves. Every solve on the numguard cadence
+// is checked against its true scaled residual.
 //
 // The block ladder (block-cholesky → lu → cg+ic0 on G̃ + C̃/h assembled
 // node-major; block-cholesky is the supernodal kernel, under the node
@@ -67,33 +72,23 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	cOp := newKronOp(n, b, workers).add(sys.CTerms, 1)
 	stepOp := newKronOp(n, b, workers).add(sys.GTerms, 1).add(sys.CTerms, 1/opts.Step)
 	gNorm, stepNorm := gOp.normInf(), stepOp.normInf()
-	// The preconditioners factor the identity-coupled (ξ-free) part of
-	// each operator: G₀ for DC, the mean companion G₀ + C₀/h per step.
-	g0, meanComp := gOp.mean, stepOp.mean
 	spAsm.End()
 
 	res := Result{Factorer: meanPrecondRung, AugmentedN: nb}
 	rep := &numguard.Report{}
 	rep.Bind(tr.Registry())
 	res.guard = rep
-	// The preconditioner factors go through scalar ladders of their
-	// own: a mean companion that defeats Cholesky falls back to LU
-	// rather than aborting.
+	// The preconditioners factor the identity-coupled (ξ-free) parts of
+	// the operators, G₀ and C₀; the mean companion G₀ + C₀/h holds both
+	// patterns.
 	st := &factorStats{}
-	compLad := numguard.NewLadder("precond", opts.Guard, meanComp, meanComp.NormInf(),
-		scalarRungs(meanComp, perm, workers, opts.Guard, opts.ForceLU, st), rep)
-	compFac, err := compLad.Solver(0)
+	pc, err := newCoupledPrecond(sys, gOp.mean, cOp.mean, stepOp.mean, perm, opts, workers, rep, st)
 	if err != nil {
-		return Result{}, fmt.Errorf("galerkin: mean companion factorization: %w", err)
-	}
-	g0Lad := numguard.NewLadder("precond-dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, perm, workers, opts.Guard, opts.ForceLU, nil), rep)
-	g0Fac, err := g0Lad.Solver(0)
-	if err != nil {
-		return Result{}, fmt.Errorf("galerkin: mean DC factorization: %w", err)
+		return Result{}, err
 	}
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
-	spF.SetAttrs(obs.String("rung", compLad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
+	spF.SetAttrs(obs.String("rung", pc.rung), obs.Int("factor_nnz", res.FactorNNZ),
+		obs.String("precond", pc.kind), obs.Int("precond_factors", len(pc.step.facs)))
 	spF.End()
 
 	x := make([]float64, nb)
@@ -102,7 +97,6 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	src := alloc2(len(sys.Weights), n) // the excitation sources
 	rhsBlocks := alloc2(b, n)
 	outBlocks := alloc2(b, n)
-	cols := alloc2(b, n) // the preconditioner's chaos columns
 	pack := func(blocks [][]float64, dst []float64) {
 		for m := 0; m < b; m++ {
 			src := blocks[m]
@@ -129,45 +123,12 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	stepsTotal := reg.Counter("galerkin.steps_total")
 	cgIters := reg.Counter("galerkin.cg_iterations_total")
 
-	// The preconditioner z = (I_B ⊗ M⁻¹)·r, M the mean factor fac: the B
-	// chaos columns split into one contiguous range per worker, each
-	// solved by one batched SolveMany when fac offers it (a
-	// SuperFactor, bitwise equal per column to SolveTo), column by
-	// column otherwise (a preconditioner ladder escalated to LU). A
-	// column's arithmetic does not depend on its range, so z is
-	// bit-identical for every worker count.
-	var fac numguard.Solver
-	pre := iterative.PrecondFunc(func(z, r []float64) {
-		if err := parallel.Split(workers, b, func(_, lo, hi int) error {
-			for c, col := range cols[lo:hi] {
-				for i := range col {
-					col[i] = r[i*b+lo+c]
-				}
-			}
-			if ms, ok := fac.(numguard.ManySolver); ok {
-				ms.SolveMany(cols[lo:hi], cols[lo:hi])
-			} else {
-				for _, col := range cols[lo:hi] {
-					fac.SolveTo(col, col)
-				}
-			}
-			for c, col := range cols[lo:hi] {
-				for i, v := range col {
-					z[i*b+lo+c] = v
-				}
-			}
-			return nil
-		}); err != nil {
-			panic(err) // a panic in a solve: re-raise it on the caller
-		}
-	})
 	cfg := opts.Guard.WithDefaults()
 	var cg iterative.CGWork
 	// cgSolve solves op·x = rhs by CG warm-started from x, preconditioned
-	// with the mean factor f, verifying the answer on the cadence. It
-	// returns the iteration count and, on a fault, its reason.
-	cgSolve := func(step int, op *kronOp, anorm float64, f numguard.Solver) (int, string) {
-		fac = f
+	// with pre, verifying the answer on the cadence. It returns the
+	// iteration count and, on a fault, its reason.
+	cgSolve := func(step int, op *kronOp, anorm float64, pre *kronPrecond) (int, string) {
 		r, err := cg.CG(op, x, rhs, iterative.CGOptions{Tol: cgTol, MaxIter: cgMaxIter, M: pre})
 		inject.CorruptSolve(meanPrecondRung, step, x)
 		cgIters.Add(int64(r.Iterations))
@@ -219,11 +180,12 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 
 	sys.rhs(0, src, rhsBlocks)
 	pack(rhsBlocks, rhs)
-	if _, fault := cgSolve(0, gOp, gNorm, g0Fac); fault != "" {
+	if _, fault := cgSolve(0, gOp, gNorm, pc.dc); fault != "" {
 		if err := escalate(0, fault); err != nil {
 			return Result{}, fmt.Errorf("galerkin: coupled DC solve: %w", err)
 		}
 	}
+	pc.dc = nil // G₀'s factor serves the DC solve alone
 	if visit != nil {
 		unpack(x, outBlocks)
 		visit(0, 0, outBlocks)
@@ -244,7 +206,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 			if err := block.Solve(k, x, rhs); err != nil {
 				return Result{}, fmt.Errorf("galerkin: coupled step %d: %w", k, err)
 			}
-		} else if iters, fault := cgSolve(k, stepOp, stepNorm, compFac); fault != "" {
+		} else if iters, fault := cgSolve(k, stepOp, stepNorm, pc.step); fault != "" {
 			if err := escalate(k, fault); err != nil {
 				return Result{}, fmt.Errorf("galerkin: coupled step %d: %w", k, err)
 			}
@@ -257,7 +219,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 				if (handoffCounts{
 					n: n, b: b, stepsLeft: opts.Steps - k, cgIters: iters,
 					precondLNNZ: st.nnz, blockLNNZ: sym.LNNZ(),
-					kronMACs: stepOp.macs(), blockFlops: sym.FlopEstimate(),
+					kronMACs: stepOp.macs(), mixMACs: pc.step.mixMACs(), blockFlops: sym.FlopEstimate(),
 				}).blockCheaper() {
 					toBlock()
 					spT.SetAttrs(obs.Int("handoff_step", k+1))
@@ -274,9 +236,9 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 		res.StepsRun = k
 	}
 	if block == nil {
-		// The mean companion is the operator CG preconditioned with; its
-		// κ₁ is the meaningful per-job conditioning signal.
-		res.CondEst = compLad.CondEstimate(n)
+		// The companion CG preconditioned with is the meaningful per-job
+		// conditioning signal.
+		res.CondEst = pc.cond()
 		return res, nil
 	}
 	res.Factorer = block.Rung()
@@ -290,14 +252,14 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 
 // handoffCounts are the deterministic counts the cost handoff compares
 // after the first step CG iterates on: the grid and basis sizes, the
-// steps left, that step's CG iterations, the preconditioner factor's
-// nnz(L₀), the MACs of one Kronecker apply, and the symbolic
-// Σ_j |L(:,j)|² and nnz(L) of the scalar union pattern under the
-// solve's permutation.
+// steps left, that step's CG iterations, the preconditioner factors'
+// nnz(L₀), the MACs of one Kronecker apply and of one preconditioner's
+// chaos mixing, and the symbolic Σ_j |L(:,j)|² and nnz(L) of the scalar
+// union pattern under the solve's permutation.
 type handoffCounts struct {
-	n, b, stepsLeft, cgIters int
-	precondLNNZ, blockLNNZ   int
-	kronMACs, blockFlops     int64
+	n, b, stepsLeft, cgIters      int
+	precondLNNZ, blockLNNZ        int
+	kronMACs, mixMACs, blockFlops int64
 }
 
 // blockCheaper reports whether the remaining steps run cheaper on the
@@ -305,9 +267,12 @@ type handoffCounts struct {
 // same at every worker count. The block side pays one factorization,
 // F·B³, and per step a block forward and back solve, 2·nnz(L)·B². CG
 // pays per step the measured iteration count times one iteration: the
-// batched preconditioner's 2·nnz(L₀)·B, the Kronecker apply's MACs
-// and five length-n·B vector updates. The block factor must also fit
-// maxBlockFactorBytes. F and nnz(L) come from the scalar pattern,
+// batched preconditioner's 2·nnz(L₀)·B and its mixing (2·n·B² on a
+// separable system, 0 otherwise), the Kronecker apply's MACs and five
+// length-n·B vector updates. A separable system's CG takes one
+// iteration per step, and the block side's per-step solve alone costs
+// about B preconditioner applies, so such a window stays on CG. The
+// block factor must also fit maxBlockFactorBytes. F and nnz(L) come from the scalar pattern,
 // which prices the supernodal factor of the expanded pattern 3–12%
 // high; analyzing the expanded pattern instead would cost every CG
 // window about 70 times the scalar analysis on a 2,570-node order-2
@@ -319,7 +284,7 @@ func (c handoffCounts) blockCheaper() bool {
 	}
 	r := float64(c.stepsLeft)
 	block := float64(c.blockFlops)*b*b*b + r*2*float64(c.blockLNNZ)*b*b
-	cg := r * float64(c.cgIters) * (2*float64(c.precondLNNZ)*b + float64(c.kronMACs) + 5*float64(c.n)*b)
+	cg := r * float64(c.cgIters) * (2*float64(c.precondLNNZ)*b + float64(c.mixMACs) + float64(c.kronMACs) + 5*float64(c.n)*b)
 	return block < cg
 }
 

@@ -81,11 +81,15 @@ func snapMoments(snaps [][][]float64) (mean, variance [][]float64) {
 }
 
 // excitedGrid is smallGrid with its pulse starting at t = 0, so step 1
-// already moves the state and prices the cost handoff.
+// already moves the state and prices the cost handoff, and with one
+// resistor off-die, so its variation is not separable: CG runs on the
+// mean preconditioner and iterates enough for a long window to hand
+// off.
 func excitedGrid(t *testing.T) *mna.System {
 	t.Helper()
 	nl := smallGrid()
 	nl.Sources[0].Wave.(*netlist.Pulse).Delay = 0
+	offDie(nl, len(nl.Resistors))
 	sys, err := mna.Build(nl, mna.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -93,14 +97,47 @@ func excitedGrid(t *testing.T) *mna.System {
 	return sys
 }
 
+// offDie takes every k-th resistor off-die, out of the geometry
+// variation: G_G is then no multiple of G₀, so the variation is not
+// separable.
+func offDie(nl *netlist.Netlist, k int) {
+	for i := k - 1; i < len(nl.Resistors); i += k {
+		nl.Resistors[i].OnDie = false
+	}
+}
+
 // mediumSystem lifts a generated grid of about 270 nodes (five
-// 64-row Kronecker chunks) at order 2. A 20-step window at h = 1e-10
-// stays on CG; a 50-step one hands off to the block factor.
+// 64-row Kronecker chunks) at order 2. Its variation is separable, so
+// CG takes one iteration per step and a window of any length stays on
+// CG.
 func mediumSystem(t *testing.T) *System {
+	return mediumSystemWith(t, nil)
+}
+
+// mediumOffDieSystem is mediumSystem with every tenth resistor
+// off-die. Its variation is not separable: a 20-step window at
+// h = 1e-10 stays on CG, a 50-step one hands off to the block factor.
+func mediumOffDieSystem(t *testing.T) *System {
+	return mediumSystemWith(t, func(nl *netlist.Netlist) { offDie(nl, 10) })
+}
+
+// mediumNetlist generates mediumSystem's grid.
+func mediumNetlist(t *testing.T) *netlist.Netlist {
 	t.Helper()
 	nl, err := grid.Build(grid.DefaultSpec(300, 7))
 	if err != nil {
 		t.Fatal(err)
+	}
+	return nl
+}
+
+// mediumSystemWith lifts mediumSystem's grid, edited by edit when it
+// is non-nil.
+func mediumSystemWith(t *testing.T, edit func(*netlist.Netlist)) *System {
+	t.Helper()
+	nl := mediumNetlist(t)
+	if edit != nil {
+		edit(nl)
 	}
 	sys, err := mna.Build(nl, mna.DefaultSpec())
 	if err != nil {
@@ -220,6 +257,13 @@ func TestHandoffRule(t *testing.T) {
 		{"no steps left", func(c *handoffCounts) { c.stepsLeft = 0 }, false},
 		{"CG converged without iterating", func(c *handoffCounts) { c.stepsLeft, c.cgIters = 399, 0 }, false},
 		{"one iteration per step", func(c *handoffCounts) { c.stepsLeft, c.cgIters = 100000, 1 }, false},
+		// The separable preconditioner's chaos mixing, 2·n·B² per apply.
+		{"one mixed iteration per step", func(c *handoffCounts) {
+			c.stepsLeft, c.cgIters, c.mixMACs = 100000, 1, 2*2570*36
+		}, false},
+		{"mixing tips the break-even", func(c *handoffCounts) {
+			c.stepsLeft, c.mixMACs = int(math.Floor(even)), 2*2570*36
+		}, true},
 		// At B = 64 the values of nnz(L) = 131,072 fill exactly 4 GiB.
 		{"block factor at 4 GiB", func(c *handoffCounts) {
 			c.stepsLeft, c.b, c.cgIters = 100000, 64, 500

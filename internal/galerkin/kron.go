@@ -10,6 +10,10 @@ import (
 // kronChunk is the block-row granularity of kronOp.MulVec.
 const kronChunk = 64
 
+// cacheLineFloats is one 64-byte cache line of float64s, the gap kept
+// between two workers' gather buffers.
+const cacheLineFloats = 8
+
 // kronOp applies one of the Eq. 19 operators y = Σ_t s_t·(A_t ⊗ T_t)·x
 // to node-major vectors (x[i·B+m]) straight from the term lists,
 // without assembling the dense B×B blocks. Block row i is a gather,
@@ -31,8 +35,14 @@ type kronOp struct {
 
 func newKronOp(n, b, workers int) *kronOp {
 	k := &kronOp{n: n, b: b, workers: workers, mean: sparse.NewMatrix(n, n), scratch: make([][]float64, workers)}
+	// One slab with a cache line between consecutive workers' buffers: a
+	// few-float buffer allocated on its own can share a line with
+	// another worker's, and every accumulate would bounce it between
+	// cores.
+	stride := b + cacheLineFloats
+	slab := make([]float64, workers*stride)
 	for w := range k.scratch {
-		k.scratch[w] = make([]float64, b)
+		k.scratch[w] = slab[w*stride : w*stride+b : w*stride+b]
 	}
 	return k
 }

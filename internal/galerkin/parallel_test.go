@@ -336,11 +336,13 @@ func TestDecoupledSourcesMatchPerColumn(t *testing.T) {
 
 // TestCoupledParallelDeterminism checks the same contract on the
 // coupled path, whose parallel surfaces are the Kronecker apply's
-// 64-row chunks and the preconditioner's column ranges — for a window
-// CG serves to the end and for one that hands off to the block factor
-// (the decision is made from counts alone, so it agrees too).
+// 64-row chunks and the preconditioner's column ranges — on the
+// non-separable grid, for a window CG serves to the end and for one
+// that hands off to the block factor (the decision is made from counts
+// alone, so it agrees too). TestSeparablePrecondParallelDeterminism
+// covers separable windows.
 func TestCoupledParallelDeterminism(t *testing.T) {
-	gsys := mediumSystem(t)
+	gsys := mediumOffDieSystem(t)
 	for _, tc := range []struct {
 		steps    int
 		factorer string

@@ -81,9 +81,10 @@ type Result struct {
 	// "cg+ic0").
 	Factorer   string
 	AugmentedN int // size of the augmented system
-	// FactorNNZ is nnz(L) of the factor the steps ran on: the mean
-	// preconditioner's while CG serves, the block companion's after a
-	// handoff or escalation (0 on the pure-CG rung).
+	// FactorNNZ is nnz(L) of the factor the steps ran on: one
+	// preconditioner factor's while CG serves (the separable
+	// preconditioner's factors all share one pattern), the block
+	// companion's after a handoff or escalation.
 	FactorNNZ int
 	StepsRun  int
 

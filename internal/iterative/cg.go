@@ -140,14 +140,14 @@ func (w *CGWork) CG(a Operator, x, b []float64, opt CGOptions) (CGResult, error)
 		}
 		return CGResult{Iterations: 0, Residual: 0}, nil
 	}
+	rn := norm2(r)
+	if rn/bnorm <= opt.Tol {
+		return CGResult{Iterations: 0, Residual: rn / bnorm}, nil
+	}
 	opt.M.Precondition(z, r)
 	copy(p, z)
 	rz := dot(r, z)
 	for it := 0; it < opt.MaxIter; it++ {
-		rn := norm2(r)
-		if rn/bnorm <= opt.Tol {
-			return CGResult{Iterations: it, Residual: rn / bnorm}, nil
-		}
 		a.MulVec(ap, p)
 		pap := dot(p, ap)
 		if pap <= 0 || math.IsNaN(pap) {
@@ -159,6 +159,13 @@ func (w *CGWork) CG(a Operator, x, b []float64, opt CGOptions) (CGResult, error)
 			x[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 		}
+		// Test the updated residual before preconditioning it: the
+		// converged pass would precondition for a direction it never
+		// takes.
+		rn = norm2(r)
+		if rn/bnorm <= opt.Tol {
+			return CGResult{Iterations: it + 1, Residual: rn / bnorm}, nil
+		}
 		opt.M.Precondition(z, r)
 		rzNew := dot(r, z)
 		beta := rzNew / rz
@@ -167,10 +174,7 @@ func (w *CGWork) CG(a Operator, x, b []float64, opt CGOptions) (CGResult, error)
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	rn := norm2(r) / bnorm
-	if rn <= opt.Tol {
-		return CGResult{Iterations: opt.MaxIter, Residual: rn}, nil
-	}
+	rn /= bnorm
 	return CGResult{Iterations: opt.MaxIter, Residual: rn},
 		fmt.Errorf("%w after %d iterations (residual %.3g)", ErrNoConvergence, opt.MaxIter, rn)
 }

@@ -221,3 +221,106 @@ func TestJacobiRejectsNonpositiveDiagonal(t *testing.T) {
 		t.Error("zero diagonal accepted")
 	}
 }
+
+// checkTopCG is the CG loop that tests convergence at the top of each
+// pass, after preconditioning the residual it was handed: the
+// reference for CG's test-before-precondition order.
+func checkTopCG(a Operator, x, b []float64, tol float64, maxIter int, m Preconditioner) (CGResult, error) {
+	n := len(b)
+	r, z, p, ap := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	a.MulVec(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	bnorm := norm2(b)
+	m.Precondition(z, r)
+	copy(p, z)
+	rz := dot(r, z)
+	for it := 0; it < maxIter; it++ {
+		rn := norm2(r)
+		if rn/bnorm <= tol {
+			return CGResult{Iterations: it, Residual: rn / bnorm}, nil
+		}
+		a.MulVec(ap, p)
+		alpha := rz / dot(p, ap)
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		m.Precondition(z, r)
+		rzNew := dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	return CGResult{Iterations: maxIter, Residual: norm2(r) / bnorm}, ErrNoConvergence
+}
+
+// TestCGTestsBeforePreconditioning checks that CG tests convergence
+// right after the x/r update: x, the iteration count and the residual
+// are bitwise those of the check-at-the-top loop, which preconditions
+// once more per solve, and the preconditioner runs once per iteration,
+// or not at all when the warm start already converges.
+func TestCGTestsBeforePreconditioning(t *testing.T) {
+	a := laplacian2D(15, 15, 0.05)
+	n := a.Rows
+	rng := rand.New(rand.NewSource(4))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	converged := make([]float64, n)
+	if _, err := CG(a, converged, b, CGOptions{Tol: 1e-13}); err != nil {
+		t.Fatal(err)
+	}
+	exact := PrecondFunc(func(z, r []float64) { copy(z, r) })
+	for _, tc := range []struct {
+		name string
+		m    Preconditioner
+		x0   []float64
+	}{
+		{"none", Identity{}, nil},
+		{"jacobi", mustJacobi(t, a), nil},
+		{"ic0", mustIC0(t, a), nil},
+		{"warm-ic0", mustIC0(t, a), converged},
+		{"identity-system", exact, nil},
+	} {
+		op := Operator(a)
+		if tc.name == "identity-system" {
+			op = OperatorFunc(func(y, x []float64) { copy(y, x) })
+		}
+		var calls, refCalls int
+		count := func(n *int, m Preconditioner) Preconditioner {
+			return PrecondFunc(func(z, r []float64) { *n++; m.Precondition(z, r) })
+		}
+		x, xRef := make([]float64, n), make([]float64, n)
+		if tc.x0 != nil {
+			copy(x, tc.x0)
+			copy(xRef, tc.x0)
+		}
+		got, err := CG(op, x, b, CGOptions{Tol: 1e-10, MaxIter: 1000, M: count(&calls, tc.m)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := checkTopCG(op, xRef, b, 1e-10, 1000, count(&refCalls, tc.m))
+		if err != nil {
+			t.Fatalf("%s reference: %v", tc.name, err)
+		}
+		if got.Iterations != want.Iterations || math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+			t.Errorf("%s: %d iterations, residual %.17g; reference %d, %.17g",
+				tc.name, got.Iterations, got.Residual, want.Iterations, want.Residual)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
+				t.Fatalf("%s: x[%d] = %.17g, reference %.17g", tc.name, i, x[i], xRef[i])
+			}
+		}
+		if calls != got.Iterations || refCalls != want.Iterations+1 {
+			t.Errorf("%s: %d preconditioner applies (reference %d) for %d iterations",
+				tc.name, calls, refCalls, got.Iterations)
+		}
+		t.Logf("%s: %d iterations, %d applies (reference %d)", tc.name, got.Iterations, calls, refCalls)
+	}
+}

@@ -39,7 +39,7 @@ func NewPCA(mean []float64, cov [][]float64) (*PCA, error) {
 	for i := range a {
 		a[i] = append([]float64(nil), cov[i]...)
 	}
-	vals, vecs := jacobiEigen(a)
+	vals, vecs := JacobiEigen(a, 1e-24)
 	// Sort descending by eigenvalue.
 	idx := make([]int, n)
 	for i := range idx {
@@ -98,11 +98,14 @@ func (p *PCA) Transform(z []float64) []float64 {
 	return x
 }
 
-// jacobiEigen diagonalizes a dense symmetric matrix in place with the
-// cyclic Jacobi rotation method, returning eigenvalues and the matrix of
-// eigenvectors (columns). Adequate for the small parameter-covariance
-// matrices of variation models.
-func jacobiEigen(a [][]float64) ([]float64, [][]float64) {
+// JacobiEigen diagonalizes a dense symmetric matrix in place with the
+// cyclic Jacobi rotation method, returning eigenvalues and the matrix
+// of eigenvectors (columns), in no particular order. Sweeps stop once
+// the squared off-diagonal sum falls below tol, or after 100. It is
+// the repository's one dense symmetric eigensolver, sized for small
+// matrices: the parameter covariances of variation models (tol 1e-24)
+// and the B×B chaos matrices of the coupled Galerkin preconditioner.
+func JacobiEigen(a [][]float64, tol float64) ([]float64, [][]float64) {
 	n := len(a)
 	v := make([][]float64, n)
 	for i := range v {
@@ -116,7 +119,7 @@ func jacobiEigen(a [][]float64) ([]float64, [][]float64) {
 				off += a[i][j] * a[i][j]
 			}
 		}
-		if off < 1e-24 {
+		if off < tol {
 			break
 		}
 		for p := 0; p < n; p++ {
