@@ -45,7 +45,7 @@ type LeakageOptions struct {
 	// factorization (decoupled OPERA and RunLeakageMC); the zero value
 	// is AMD.
 	Ordering order.Method
-	// Workers caps the worker pool of the decoupled solver's column
+	// Workers caps the worker pool of the decoupled solver's recursion
 	// chunks and of RunLeakageMC's sample chunks; 0 or negative means
 	// GOMAXPROCS. Results are bit-identical for every value.
 	Workers int
@@ -227,15 +227,15 @@ func RunLeakageMC(nl *netlist.Netlist, opts LeakageOptions, samples int, seed in
 	n := sys.N
 	start := time.Now()
 	companion := sparse.Add(1, sys.Ga, 1/opts.Step, sys.Ca)
-	// Ga's pattern is contained in the companion's, so the companion
-	// permutation serves the DC factor too.
+	// Ga's pattern is contained in the companion's, so the companion's
+	// analysis serves the DC factor too.
 	perm := order.Permute(opts.Ordering, companion)
 	sym := factor.CholAnalyzeSupernodal(companion, perm, -1)
 	comp, err := sym.Factorize(companion, nil, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: leakage MC companion: %w", err)
 	}
-	gfac, err := factor.CholAnalyzeSupernodal(sys.Ga, perm, -1).Factorize(sys.Ga, nil, 1)
+	gfac, err := sym.Factorize(sys.Ga, nil, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: leakage MC DC: %w", err)
 	}

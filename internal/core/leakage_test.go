@@ -308,10 +308,9 @@ func TestLeakageRegionOutsideRange(t *testing.T) {
 
 // TestLeakageForceCoupledHonorsOptions checks that the coupled ablation
 // passes Ctx and Ordering through as AnalyzeLeakage does: a canceled
-// context stops it, and its mean preconditioner (its operator does not
-// vary, so nothing is separable: precond=mean, one factor) factors the
-// companion under the requested ordering (the companion the decoupled
-// path factors, so the two report the same nnz).
+// context stops it, and its mean preconditioner (one step factor)
+// factors the companion under the requested ordering (the companion the
+// decoupled path factors, so the two report the same nnz).
 func TestLeakageForceCoupledHonorsOptions(t *testing.T) {
 	_, nl := testSystem(t, 200, 41)
 	opts := LeakageOptions{Regions: 4, SigmaLogI: 0.6, Order: 2, Step: 1e-10, Steps: 4}
@@ -345,14 +344,15 @@ func TestLeakageForceCoupledHonorsOptions(t *testing.T) {
 		if cpl.Galerkin.Decoupled {
 			t.Fatal("AnalyzeLeakageForceCoupled took the decoupled path")
 		}
-		precond := "no factor span"
+		factors := "no factor span"
 		for _, sp := range tr.Dump().Spans {
 			if sp.Name == "factor" {
-				precond = sp.Attrs["precond"] + "/" + sp.Attrs["precond_factors"]
+				factors = sp.Attrs["step_factors"]
 			}
 		}
-		if precond != "mean/1" {
-			t.Errorf("%v: factor span precond/precond_factors %q, want mean/1", m, precond)
+		if factors != "1" || cpl.Galerkin.Factorer != "cg+mean-precond" {
+			t.Errorf("%v: %q step factors on %q, want the mean preconditioner's 1 on cg+mean-precond",
+				m, factors, cpl.Galerkin.Factorer)
 		}
 		nnz[m] = [2]int{dec.Galerkin.FactorNNZ, cpl.Galerkin.FactorNNZ}
 		if nnz[m][0] != nnz[m][1] {

@@ -53,8 +53,8 @@ type Options struct {
 	ForceCoupled bool
 	ForceLU      bool
 	// Workers caps the worker pools of the parallel hot loops (Monte
-	// Carlo sampling, decoupled column chunks, the coupled Kronecker
-	// apply and preconditioner columns); 0 or negative means
+	// Carlo sampling, the eigenbasis recursion chunks, the coupled
+	// Kronecker apply and preconditioner columns); 0 or negative means
 	// GOMAXPROCS. Results are bit-identical for every
 	// value.
 	Workers int

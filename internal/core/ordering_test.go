@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"opera/internal/factor"
+	"opera/internal/grid"
 	"opera/internal/mna"
 	"opera/internal/order"
 	"opera/internal/sparse"
@@ -23,6 +24,19 @@ func TestEveryPathHonorsOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every tenth resistor off-die: the variation is not separable, so
+	// CG serves it.
+	offNL, err := grid.Build(grid.DefaultSpec(150, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 9; i < len(offNL.Resistors); i += 10 {
+		offNL.Resistors[i].OnDie = false
+	}
+	offSys, err := mna.Build(offNL, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := Options{Order: 2, Step: step, Steps: 4}
 	leakOpts := LeakageOptions{Regions: 4, SigmaLogI: 0.6, Order: 2, Step: step, Steps: 4}
 	companion := sparse.Add(1, leakSys.Ga, 1/step, leakSys.Ca)
@@ -37,13 +51,27 @@ func TestEveryPathHonorsOrdering(t *testing.T) {
 		scale   int            // reported nnz per scalar nnz(L)
 		run     run
 	}{
-		// CG serves this short window: the reported nnz is the mean
-		// preconditioner's, ordered on the union pattern (the mean
-		// companion's pattern here).
-		{"coupled", union, 1, func(m order.Method) (int, [][]float64, [][]float64) {
+		// The variation is separable: the eigenbasis recursions order
+		// the mean companion, and every step factor shares its pattern.
+		{"eigenbasis", sparse.Add(1, sys.Ga, 1/step, sys.Ca), 1, func(m order.Method) (int, [][]float64, [][]float64) {
 			o := opts
 			o.Ordering = m
 			res, err := Analyze(sys, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Galerkin.Decoupled || res.Galerkin.Factorer != "supernodal" {
+				t.Fatalf("separable system solved by %q, want the eigenbasis recursions", res.Galerkin.Factorer)
+			}
+			return res.Galerkin.FactorNNZ, res.Mean, res.Variance
+		}},
+		// CG serves this short window: the reported nnz is the mean
+		// preconditioner's, ordered on the union pattern (the mean
+		// companion's pattern here).
+		{"coupled", offSys.UnionPattern(), 1, func(m order.Method) (int, [][]float64, [][]float64) {
+			o := opts
+			o.Ordering = m
+			res, err := Analyze(offSys, o)
 			if err != nil {
 				t.Fatal(err)
 			}

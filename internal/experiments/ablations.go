@@ -78,16 +78,16 @@ func FormatOrderSweep(rows []OrderSweepRow) *report.Table {
 	return t
 }
 
-// OrderingRow records the coupled solve's factorization cost under one
+// OrderingRow records the Galerkin solve's factorization cost under one
 // fill-reducing ordering: the nnz of the factor its steps ran on (one
-// preconditioner factor's on this 20-step window).
+// eigenbasis step factor's: the grid's variation is separable).
 type OrderingRow struct {
 	Ordering  order.Method
 	FactorNNZ int
 	OperaTime time.Duration
 }
 
-// RunOrderingAblation compares fill-reducing orderings on the coupled
+// RunOrderingAblation compares fill-reducing orderings on the Galerkin
 // solve of one grid.
 func RunOrderingAblation(nodes int, seed int64, orderings []order.Method) ([]OrderingRow, error) {
 	nl, err := grid.Build(grid.DefaultSpec(nodes, seed))

@@ -5,8 +5,8 @@
 // Gilbert–Peierls LU with partial pivoting. All accept a fill-reducing
 // permutation computed by package order. These are the solvers behind
 // both the Monte Carlo baseline (thousands of refactorizations of one
-// pattern) and the stochastic Galerkin solves: the coupled
-// preconditioner's companions, the decoupled companion and the
+// pattern) and the stochastic Galerkin solves: the eigenbasis path's
+// shifted companions, the coupled preconditioner's companion and the
 // augmented companion of a long window.
 package factor
 

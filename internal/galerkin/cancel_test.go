@@ -42,9 +42,10 @@ func cancelTestSystem(t *testing.T, rhsOnly bool) *System {
 }
 
 // TestSolveCancelAllPaths cancels each way a solve steps from inside
-// the visit callback: the decoupled path, the coupled path on its
-// block factor after a cost handoff, and the coupled path while CG
-// still serves. It checks every one stops within a step with the
+// the visit callback: the eigenbasis recursions of an RHS-only system,
+// the coupled path on its block factor after a cost handoff, and the
+// coupled path while CG still serves (a separable system forced onto
+// it, so the mean preconditioner's CG iterates). It checks every one stops within a step with the
 // structured error, leaks no worker goroutines, and leaves the system
 // solvable again (factors and the numguard ladder are not poisoned by
 // the abort).

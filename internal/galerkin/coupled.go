@@ -2,9 +2,7 @@ package galerkin
 
 import (
 	"fmt"
-	"time"
 
-	"opera/internal/cancel"
 	"opera/internal/factor"
 	"opera/internal/iterative"
 	"opera/internal/numguard"
@@ -17,8 +15,7 @@ import (
 
 // meanPrecondRung names the coupled path's CG solve in Result.Factorer,
 // transitions and fault injection. "Mean" names the factored mean node
-// matrices G₀ and C₀ its preconditioner is built from, separable or
-// not.
+// matrices G₀ and C₀ its preconditioner is built from.
 const meanPrecondRung = "cg+mean-precond"
 
 // The coupled CG solves stop at this relative recurrence residual; the
@@ -28,38 +25,30 @@ const (
 	cgMaxIter = 1000
 )
 
-// maxBlockFactorBytes caps the block factor's values for a cost
-// handoff: a window whose nnz(L)·B²·8 bytes, nnz(L) the scalar union
-// pattern's, exceed it stays on CG. The supernodal panels of that
-// factor store 1.17–1.20× this count on the synthetic grids.
+// maxBlockFactorBytes caps factor values: a window whose block factor
+// would hold more, nnz(L)·B²·8 bytes from the scalar union pattern,
+// never hands off, and a separable system whose eigenbasis factors'
+// panels would goes to CG. The block factor's panels store 1.17–1.20×
+// its count on the synthetic grids.
 const maxBlockFactorBytes = 4 << 30
 
 // solveCoupled runs the general OPERA path, the paper's §5.2 "iterative
 // block solver with an appropriate pre-conditioner": preconditioned
 // conjugate gradients on the augmented system (Eq. 19), G̃ for the DC
 // solve and G̃ + C̃/h for every step. The operators apply term by term
-// in Kronecker form (kronOp), never assembled. The preconditioner
-// (precond.go) is the exact inverse when the variation is separable,
-// every non-identity term a multiple of the mean node matrix: B
-// shifted companions G₀ + λ_m·C₀/h in the chaos eigenbasis, so CG
-// takes one iteration per step. Otherwise it is the block-diagonal
-// mean I_B ⊗ (G₀ + C₀/h)⁻¹ (I_B ⊗ G₀⁻¹ for DC). Either applies to the B
-// chaos columns as batched solves. Every solve on the numguard cadence
-// is checked against its true scaled residual.
+// in Kronecker form (kronOp), never assembled; the preconditioner is
+// the block-diagonal mean (precond.go). Every solve on the numguard
+// cadence is checked against its true scaled residual.
 //
-// The block ladder (block-cholesky → lu → cg+ic0 on G̃ + C̃/h assembled
-// node-major; block-cholesky is the supernodal kernel, under the node
-// ordering lifted to the B unknowns of each node) takes the rest of
-// the window in two cases. A CG fault —
-// breakdown, a non-finite answer or a true residual above tolerance —
-// escalates: it records a transition and re-solves the step there. A
-// cost handoff is no fault: when, after the first step CG iterates on,
-// handoffCounts say the remaining steps are cheaper on the block
-// factor, the window moves there and the report stays healthy.
+// The block ladder takes the rest of the window in two cases. A CG
+// fault — breakdown, a non-finite answer or a true residual above
+// tolerance — escalates: it records a transition and re-solves the step
+// there. A cost handoff is no fault: when, after the first step CG
+// iterates on, handoffCounts say the remaining steps are cheaper on the
+// block factor, the window moves there and the report stays healthy.
 func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
 	n, b := sys.N, sys.Basis.Size()
-	nb := n * b
 	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
 	pattern := unionScalarPattern(sys)
 	perm := order.Permute(opts.Ordering, pattern)
@@ -68,68 +57,39 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 	spF := tr.Start("factor")
 	spAsm := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
 	workers := parallel.Workers(opts.Workers)
-	gOp := newKronOp(n, b, workers).add(sys.GTerms, 1)
-	cOp := newKronOp(n, b, workers).add(sys.CTerms, 1)
-	stepOp := newKronOp(n, b, workers).add(sys.GTerms, 1).add(sys.CTerms, 1/opts.Step)
-	gNorm, stepNorm := gOp.normInf(), stepOp.normInf()
-	spAsm.End()
-
-	res := Result{Factorer: meanPrecondRung, AugmentedN: nb}
 	rep := &numguard.Report{}
 	rep.Bind(tr.Registry())
-	res.guard = rep
-	// The preconditioners factor the identity-coupled (ξ-free) parts of
-	// the operators, G₀ and C₀; the mean companion G₀ + C₀/h holds both
-	// patterns.
+	aug := newAugmented(sys, opts, perm, workers, rep)
+	spAsm.End()
+
+	res := Result{Factorer: meanPrecondRung, AugmentedN: n * b, guard: rep}
 	st := &factorStats{}
-	pc, err := newCoupledPrecond(sys, gOp.mean, cOp.mean, stepOp.mean, perm, opts, workers, rep, st)
+	cols := alloc2(b, n)
+	pre, lad, err := newKronPrecond("precond", aug.stepOp.mean, perm, cols, opts, workers, rep, st)
+	if err != nil {
+		return Result{}, err
+	}
+	dcPre, _, err := newKronPrecond("precond-dc", aug.gOp.mean, perm, cols, opts, workers, rep, nil)
 	if err != nil {
 		return Result{}, err
 	}
 	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
-	spF.SetAttrs(obs.String("rung", pc.rung), obs.Int("factor_nnz", res.FactorNNZ),
-		obs.String("precond", pc.kind), obs.Int("precond_factors", len(pc.step.facs)))
+	spF.SetAttrs(obs.String("rung", lad.Rung()), obs.Int("factor_nnz", res.FactorNNZ), obs.Int("step_factors", 1))
 	spF.End()
-
-	x := make([]float64, nb)
-	rhs := make([]float64, nb)
-	work := make([]float64, nb)        // C̃·x, then the verified residual
-	src := alloc2(len(sys.Weights), n) // the excitation sources
-	rhsBlocks := alloc2(b, n)
-	outBlocks := alloc2(b, n)
-	pack := func(blocks [][]float64, dst []float64) {
-		for m := 0; m < b; m++ {
-			src := blocks[m]
-			for i := 0; i < n; i++ {
-				dst[i*b+m] = src[i]
-			}
-		}
-	}
-	unpack := func(src []float64, blocks [][]float64) {
-		for m := 0; m < b; m++ {
-			dst := blocks[m]
-			for i := 0; i < n; i++ {
-				dst[i] = src[i*b+m]
-			}
-		}
-	}
 
 	spT := tr.Start("transient", obs.Int("steps", opts.Steps))
 	spT.MarkAllocsApprox() // the Kronecker apply and the preconditioner run on worker goroutines
 	defer spT.End()
-	reg := tr.Registry()
-	reg.Gauge("parallel.workers").Set(float64(workers))
-	stepMS := reg.Histogram("galerkin.step_ms", obs.MSBuckets)
-	stepsTotal := reg.Counter("galerkin.steps_total")
-	cgIters := reg.Counter("galerkin.cg_iterations_total")
-
+	tr.Registry().Gauge("parallel.workers").Set(float64(workers))
+	cgIters := tr.Registry().Counter("galerkin.cg_iterations_total")
 	cfg := opts.Guard.WithDefaults()
 	var cg iterative.CGWork
 	// cgSolve solves op·x = rhs by CG warm-started from x, preconditioned
 	// with pre, verifying the answer on the cadence. It returns the
 	// iteration count and, on a fault, its reason.
 	cgSolve := func(step int, op *kronOp, anorm float64, pre *kronPrecond) (int, string) {
-		r, err := cg.CG(op, x, rhs, iterative.CGOptions{Tol: cgTol, MaxIter: cgMaxIter, M: pre})
+		x := aug.x
+		r, err := cg.CG(op, x, aug.rhs, iterative.CGOptions{Tol: cgTol, MaxIter: cgMaxIter, M: pre})
 		inject.CorruptSolve(meanPrecondRung, step, x)
 		cgIters.Add(int64(r.Iterations))
 		switch {
@@ -139,7 +99,7 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 			rep.NonFinite()
 			return r.Iterations, "non-finite solution"
 		case cfg.ShouldVerify(step):
-			res := numguard.ScaledResidual(op, anorm, work, x, rhs)
+			res := numguard.ScaledResidual(op, anorm, aug.work, x, aug.rhs)
 			if res > cfg.ResidualTol {
 				return r.Iterations, fmt.Sprintf("true residual %.3g above tolerance %.3g", res, cfg.ResidualTol)
 			}
@@ -147,119 +107,197 @@ func solveCoupled(sys *System, opts Options, visit func(int, float64, [][]float6
 		}
 		return r.Iterations, ""
 	}
-
-	// block is the ladder the rest of the window runs on after a
-	// handoff or a CG fault; nil while CG serves.
-	var block *numguard.Ladder
-	blockStats := &factorStats{}
-	faulted, decided := false, false
-	toBlock := func() {
-		comp := assembleBlock(n, b, sys.GTerms, sys.CTerms, 1/opts.Step)
-		block = numguard.NewLadder("step", opts.Guard, comp, comp.NormInf(),
-			blockRungs(comp, perm, b, workers, opts.Guard, opts.ForceLU, blockStats), rep)
-	}
-	// escalate records a CG fault and re-solves the step on the block
-	// ladder; the DC operator G̃ gets a ladder of its own.
-	escalate := func(step int, reason string) error {
-		faulted = true
-		if block == nil {
-			toBlock()
-		}
-		rep.AddTransition(numguard.Transition{
-			Stage: "step", Step: step, From: meanPrecondRung, To: block.Rung(), Reason: reason,
-		})
-		if step > 0 {
-			rep.AddStepRetry()
-			return block.Solve(step, x, rhs)
-		}
-		g := assembleBlock(n, b, sys.GTerms, nil, 0)
-		dc := numguard.NewLadder("dc", opts.Guard, g, g.NormInf(),
-			blockRungs(g, perm, b, workers, opts.Guard, opts.ForceLU, nil), rep)
-		return dc.Solve(0, x, rhs)
-	}
-
-	sys.rhs(0, src, rhsBlocks)
-	pack(rhsBlocks, rhs)
-	if _, fault := cgSolve(0, gOp, gNorm, pc.dc); fault != "" {
-		if err := escalate(0, fault); err != nil {
-			return Result{}, fmt.Errorf("galerkin: coupled DC solve: %w", err)
-		}
-	}
-	pc.dc = nil // G₀'s factor serves the DC solve alone
-	if visit != nil {
-		unpack(x, outBlocks)
-		visit(0, 0, outBlocks)
-	}
-	for k := 1; k <= opts.Steps; k++ {
-		if err := cancel.Poll(opts.Ctx, "galerkin.coupled", k); err != nil {
-			return Result{}, err
-		}
-		t := float64(k) * opts.Step
-		stepStart := time.Now()
-		sys.rhs(t, src, rhsBlocks)
-		pack(rhsBlocks, rhs)
-		cOp.MulVec(work, x)
-		for i := range rhs {
-			rhs[i] += work[i] / opts.Step
-		}
-		if block != nil {
-			if err := block.Solve(k, x, rhs); err != nil {
-				return Result{}, fmt.Errorf("galerkin: coupled step %d: %w", k, err)
-			}
-		} else if iters, fault := cgSolve(k, stepOp, stepNorm, pc.step); fault != "" {
-			if err := escalate(k, fault); err != nil {
-				return Result{}, fmt.Errorf("galerkin: coupled step %d: %w", k, err)
-			}
-		} else if !decided && iters > 0 {
-			// The first step CG had to iterate on (step 1 unless the
-			// excitation starts later) prices the rest of the window.
-			decided = true
-			if k < opts.Steps {
-				sym := factor.CholAnalyze(pattern, perm)
-				if (handoffCounts{
-					n: n, b: b, stepsLeft: opts.Steps - k, cgIters: iters,
-					precondLNNZ: st.nnz, blockLNNZ: sym.LNNZ(),
-					kronMACs: stepOp.macs(), mixMACs: pc.step.mixMACs(), blockFlops: sym.FlopEstimate(),
-				}).blockCheaper() {
-					toBlock()
-					spT.SetAttrs(obs.Int("handoff_step", k+1))
+	decided := false
+	// solve solves step k by CG, escalating a fault to the block ladder;
+	// the first step CG has to iterate on (step 1 unless the excitation
+	// starts later) prices the rest of the window.
+	solve := func(k int, t float64) error {
+		switch {
+		case k == 0:
+			aug.load(0, false)
+			if _, fault := cgSolve(0, aug.gOp, aug.gNorm, dcPre); fault != "" {
+				if err := aug.escalate(meanPrecondRung, 0, fault); err != nil {
+					return fmt.Errorf("galerkin: coupled DC solve: %w", err)
 				}
 			}
+			dcPre = nil // G₀'s factor serves the DC solve alone
+			return nil
+		case aug.block != nil:
+			return aug.step(k, t)
 		}
-		stepMS.ObserveSince(stepStart)
-		stepsTotal.Inc()
-		opts.Progress.Mark()
-		if visit != nil {
-			unpack(x, outBlocks)
-			visit(k, t, outBlocks)
+		aug.load(t, true)
+		iters, fault := cgSolve(k, aug.stepOp, aug.stepNorm, pre)
+		if fault != "" {
+			if err := aug.escalate(meanPrecondRung, k, fault); err != nil {
+				return fmt.Errorf("galerkin: coupled step %d: %w", k, err)
+			}
+			return nil
 		}
-		res.StepsRun = k
+		if decided || iters == 0 || k == opts.Steps {
+			return nil
+		}
+		decided = true
+		sym := factor.CholAnalyze(pattern, perm)
+		if (handoffCounts{
+			n: n, b: b, stepsLeft: opts.Steps - k, cgIters: iters,
+			precondLNNZ: st.nnz, blockLNNZ: sym.LNNZ(),
+			kronMACs: aug.stepOp.macs(), blockFlops: sym.FlopEstimate(),
+		}).blockCheaper() {
+			aug.move()
+			spT.SetAttrs(obs.Int("handoff_step", k+1))
+		}
+		return nil
 	}
-	if block == nil {
-		// The companion CG preconditioned with is the meaningful per-job
-		// conditioning signal.
-		res.CondEst = pc.cond()
+	if err := stepWindow(opts, "galerkin.coupled", &res, visit, solve, aug.blocks); err != nil {
+		return Result{}, err
+	}
+	if aug.block != nil {
+		aug.describe(&res)
 		return res, nil
 	}
-	res.Factorer = block.Rung()
-	if faulted {
-		res.Factorer = meanPrecondRung + "→" + block.Rung()
-	}
-	res.FactorNNZ, res.FactorFlops, res.FillRatio = blockStats.nnz, blockStats.flops, blockStats.fill
-	res.CondEst = block.CondEstimate(nb)
+	// The companion CG preconditioned with is the meaningful per-job
+	// conditioning signal.
+	res.CondEst = lad.CondEstimate(n)
 	return res, nil
+}
+
+// augmented is the node-major view of a window's augmented system
+// (Eq. 19), unknown i·B+m chaos block m at node i: its Kronecker-form
+// operators with the exact ∞-norms of the two that are solved, the
+// state x, right-hand side and residual vectors, and the block ladder
+// (block-cholesky → lu → cg+ic0 on G̃ + C̃/h assembled node-major, under
+// the node ordering perm lifted to the B unknowns of each node). A CG
+// fault, a failed Kronecker-form check on the eigenbasis path or a cost
+// handoff moves the rest of the window onto that ladder.
+type augmented struct {
+	sys              *System
+	opts             Options
+	n, b, workers    int
+	perm             []int
+	rep              *numguard.Report
+	gOp, cOp, stepOp *kronOp
+	gNorm, stepNorm  float64
+	x, rhs, work     []float64
+	src, rhsBlocks   [][]float64 // the excitation's sources and chaos blocks
+	out              [][]float64 // x as chaos blocks
+	block            *numguard.Ladder
+	blockStats       factorStats
+	from             string // the rung whose fault moved the window; "" after a handoff
+}
+
+func newAugmented(sys *System, opts Options, perm []int, workers int, rep *numguard.Report) *augmented {
+	n, b := sys.N, sys.Basis.Size()
+	a := &augmented{
+		sys: sys, opts: opts, n: n, b: b, workers: workers, perm: perm, rep: rep,
+		gOp:       newKronOp(n, b, workers).add(sys.GTerms, 1),
+		cOp:       newKronOp(n, b, workers).add(sys.CTerms, 1),
+		stepOp:    newKronOp(n, b, workers).add(sys.GTerms, 1).add(sys.CTerms, 1/opts.Step),
+		x:         make([]float64, n*b),
+		rhs:       make([]float64, n*b),
+		work:      make([]float64, n*b),
+		src:       alloc2(len(sys.Weights), n),
+		rhsBlocks: alloc2(b, n),
+		out:       alloc2(b, n),
+	}
+	a.gNorm, a.stepNorm = a.gOp.normInf(), a.stepOp.normInf()
+	return a
+}
+
+// load sets rhs to the excitation at time t and, on a transient step,
+// adds C̃·x/h, x the previous step's state.
+func (a *augmented) load(t float64, transient bool) {
+	a.sys.rhs(t, a.src, a.rhsBlocks)
+	a.pack(a.rhsBlocks, a.rhs)
+	if transient {
+		a.cOp.MulVec(a.work, a.x)
+		for i := range a.rhs {
+			a.rhs[i] += a.work[i] / a.opts.Step
+		}
+	}
+}
+
+// pack writes chaos blocks node-major into dst.
+func (a *augmented) pack(blocks [][]float64, dst []float64) {
+	for m, src := range blocks {
+		for i, v := range src {
+			dst[i*a.b+m] = v
+		}
+	}
+}
+
+// unpack writes the node-major src into chaos blocks.
+func (a *augmented) unpack(src []float64, blocks [][]float64) {
+	for m, dst := range blocks {
+		for i := range dst {
+			dst[i] = src[i*a.b+m]
+		}
+	}
+}
+
+// blocks returns x as chaos blocks.
+func (a *augmented) blocks() [][]float64 {
+	a.unpack(a.x, a.out)
+	return a.out
+}
+
+// move assembles the block companion and moves the window onto its
+// ladder.
+func (a *augmented) move() {
+	comp := assembleBlock(a.n, a.b, a.sys.GTerms, a.sys.CTerms, 1/a.opts.Step)
+	a.block = numguard.NewLadder("step", a.opts.Guard, comp, comp.NormInf(),
+		blockRungs(comp, a.perm, a.b, a.workers, a.opts.Guard, a.opts.ForceLU, &a.blockStats), a.rep)
+}
+
+// escalate records a fault of rung from at step, moves the window onto
+// the block ladder and re-solves the step there, x ← A⁻¹·rhs; the DC
+// operator G̃ gets a ladder of its own.
+func (a *augmented) escalate(from string, step int, reason string) error {
+	a.from = from
+	if a.block == nil {
+		a.move()
+	}
+	a.rep.AddTransition(numguard.Transition{
+		Stage: "step", Step: step, From: from, To: a.block.Rung(), Reason: reason,
+	})
+	if step > 0 {
+		a.rep.AddStepRetry()
+		return a.block.Solve(step, a.x, a.rhs)
+	}
+	g := assembleBlock(a.n, a.b, a.sys.GTerms, nil, 0)
+	dc := numguard.NewLadder("dc", a.opts.Guard, g, g.NormInf(),
+		blockRungs(g, a.perm, a.b, a.workers, a.opts.Guard, a.opts.ForceLU, nil), a.rep)
+	return dc.Solve(0, a.x, a.rhs)
+}
+
+// step solves step k, at time t, on the block ladder.
+func (a *augmented) step(k int, t float64) error {
+	a.load(t, true)
+	if err := a.block.Solve(k, a.x, a.rhs); err != nil {
+		return fmt.Errorf("galerkin: coupled step %d: %w", k, err)
+	}
+	return nil
+}
+
+// describe reports the block ladder as what served the window.
+func (a *augmented) describe(res *Result) {
+	res.Factorer = a.block.Rung()
+	if a.from != "" {
+		res.Factorer = a.from + "→" + res.Factorer
+	}
+	res.FactorNNZ, res.FactorFlops, res.FillRatio = a.blockStats.nnz, a.blockStats.flops, a.blockStats.fill
+	res.CondEst = a.block.CondEstimate(a.n * a.b)
 }
 
 // handoffCounts are the deterministic counts the cost handoff compares
 // after the first step CG iterates on: the grid and basis sizes, the
-// steps left, that step's CG iterations, the preconditioner factors'
-// nnz(L₀), the MACs of one Kronecker apply and of one preconditioner's
-// chaos mixing, and the symbolic Σ_j |L(:,j)|² and nnz(L) of the scalar
-// union pattern under the solve's permutation.
+// steps left, that step's CG iterations, the preconditioner factor's
+// nnz(L₀), the MACs of one Kronecker apply, and the symbolic
+// Σ_j |L(:,j)|² and nnz(L) of the scalar union pattern under the
+// solve's permutation.
 type handoffCounts struct {
-	n, b, stepsLeft, cgIters      int
-	precondLNNZ, blockLNNZ        int
-	kronMACs, mixMACs, blockFlops int64
+	n, b, stepsLeft, cgIters int
+	precondLNNZ, blockLNNZ   int
+	kronMACs, blockFlops     int64
 }
 
 // blockCheaper reports whether the remaining steps run cheaper on the
@@ -267,12 +305,9 @@ type handoffCounts struct {
 // same at every worker count. The block side pays one factorization,
 // F·B³, and per step a block forward and back solve, 2·nnz(L)·B². CG
 // pays per step the measured iteration count times one iteration: the
-// batched preconditioner's 2·nnz(L₀)·B and its mixing (2·n·B² on a
-// separable system, 0 otherwise), the Kronecker apply's MACs and five
-// length-n·B vector updates. A separable system's CG takes one
-// iteration per step, and the block side's per-step solve alone costs
-// about B preconditioner applies, so such a window stays on CG. The
-// block factor must also fit maxBlockFactorBytes. F and nnz(L) come from the scalar pattern,
+// batched preconditioner's 2·nnz(L₀)·B, the Kronecker apply's MACs and
+// five length-n·B vector updates. The block factor must also fit
+// maxBlockFactorBytes. F and nnz(L) come from the scalar pattern,
 // which prices the supernodal factor of the expanded pattern 3–12%
 // high; analyzing the expanded pattern instead would cost every CG
 // window about 70 times the scalar analysis on a 2,570-node order-2
@@ -284,14 +319,13 @@ func (c handoffCounts) blockCheaper() bool {
 	}
 	r := float64(c.stepsLeft)
 	block := float64(c.blockFlops)*b*b*b + r*2*float64(c.blockLNNZ)*b*b
-	cg := r * float64(c.cgIters) * (2*float64(c.precondLNNZ)*b + float64(c.mixMACs) + float64(c.kronMACs) + 5*float64(c.n)*b)
+	cg := r * float64(c.cgIters) * (2*float64(c.precondLNNZ)*b + float64(c.kronMACs) + 5*float64(c.n)*b)
 	return block < cg
 }
 
 // assembleBlock builds G̃ + s·C̃ (nil cTerms: G̃ alone), the matrix of
 // the block ladder, as one CSC matrix with node-major indexing i·B+m:
-// each term enters as A ⊗ T, the node matrix the outer factor. Only a
-// handoff or a CG fault assembles one.
+// each term enters as A ⊗ T, the node matrix the outer factor.
 func assembleBlock(n, b int, gTerms, cTerms []Term, s float64) *sparse.Matrix {
 	var terms []sparse.BlockTerm
 	for _, t := range gTerms {

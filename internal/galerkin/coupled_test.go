@@ -108,8 +108,7 @@ func offDie(nl *netlist.Netlist, k int) {
 
 // mediumSystem lifts a generated grid of about 270 nodes (five
 // 64-row Kronecker chunks) at order 2. Its variation is separable, so
-// CG takes one iteration per step and a window of any length stays on
-// CG.
+// the eigenbasis recursions step it.
 func mediumSystem(t *testing.T) *System {
 	return mediumSystemWith(t, nil)
 }
@@ -257,13 +256,6 @@ func TestHandoffRule(t *testing.T) {
 		{"no steps left", func(c *handoffCounts) { c.stepsLeft = 0 }, false},
 		{"CG converged without iterating", func(c *handoffCounts) { c.stepsLeft, c.cgIters = 399, 0 }, false},
 		{"one iteration per step", func(c *handoffCounts) { c.stepsLeft, c.cgIters = 100000, 1 }, false},
-		// The separable preconditioner's chaos mixing, 2·n·B² per apply.
-		{"one mixed iteration per step", func(c *handoffCounts) {
-			c.stepsLeft, c.cgIters, c.mixMACs = 100000, 1, 2*2570*36
-		}, false},
-		{"mixing tips the break-even", func(c *handoffCounts) {
-			c.stepsLeft, c.mixMACs = int(math.Floor(even)), 2*2570*36
-		}, true},
 		// At B = 64 the values of nnz(L) = 131,072 fill exactly 4 GiB.
 		{"block factor at 4 GiB", func(c *handoffCounts) {
 			c.stepsLeft, c.b, c.cgIters = 100000, 64, 500

@@ -140,9 +140,9 @@ func TestGalerkinMatchesQuadratureReference(t *testing.T) {
 	refMean, refVar := quadratureReference(t, sys, 7, tSteps)
 	opts := Options{Step: tStep, Steps: tSteps}
 	mean, variance, res := runGalerkin(t, sys, 2, opts)
-	// The augmented system is SPD: CG, or a cost handoff to the block
-	// Cholesky, serves it without an escalation.
-	if res.Factorer != "cg+mean-precond" && res.Factorer != "block-cholesky" {
+	// The variation is separable and the augmented system SPD: the
+	// eigenbasis recursions serve it on Cholesky without an escalation.
+	if res.Factorer != "supernodal" {
 		t.Errorf("expected SPD augmented system, solved with %s", res.Factorer)
 	}
 	if rep := res.Guard(); !rep.Healthy() {
@@ -217,7 +217,7 @@ func TestLinearRHSOnlyIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gsys.RHSOnly() {
+	if p := planEigen(gsys); p == nil || p.mixed {
 		t.Fatal("system should be RHS-only")
 	}
 	opts := Options{Step: tStep, Steps: 20}
@@ -366,7 +366,7 @@ func TestForceLU(t *testing.T) {
 	// rejects a matrix that is not positive definite.
 	a := sparse.FromDense([][]float64{{0, 1}, {1, 0}}) // not PD, invertible
 	lad := numguard.NewLadder("step", numguard.Config{}, a, a.NormInf(),
-		scalarRungs(a, nil, 1, numguard.Config{}, false, nil),
+		scalarRungs(a, nil, nil, 1, numguard.Config{}, false, nil),
 		&numguard.Report{})
 	x := make([]float64, 2)
 	if err := lad.Solve(0, x, []float64{3, 4}); err != nil {
@@ -425,11 +425,12 @@ func TestValidateRejectsBadSystems(t *testing.T) {
 }
 
 // TestIterativePathMatchesDirect runs a window CG serves to the end
-// and checks it against the block oracle stepped once per step: every
-// solve on the cadence true-residual verified, CG iterations counted,
-// moments within CG's tolerance of the direct answer.
+// (an off-die grid: its variation is not separable) and checks it
+// against the block oracle stepped once per step: every solve on the
+// cadence true-residual verified, CG iterations counted, moments within
+// CG's tolerance of the direct answer.
 func TestIterativePathMatchesDirect(t *testing.T) {
-	gsys := mediumSystem(t)
+	gsys := mediumOffDieSystem(t)
 	opts := Options{Step: 1e-10, Steps: 20}
 	refMean, refVar := snapMoments(blockDirect(t, gsys, opts))
 	opts.Obs = obs.New("test")

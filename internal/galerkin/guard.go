@@ -12,8 +12,8 @@ import (
 
 // This file wires the numguard escalation ladder into the Galerkin
 // solve paths. Every ladder runs supernodal Cholesky → lu → cg+ic0 on
-// a CSC matrix: scalar systems (the decoupled companion, the coupled
-// preconditioners) and the node-major block companion of the coupled
+// a CSC matrix: scalar systems (the eigenbasis factors, the coupled
+// preconditioner) and the node-major block companion of the coupled
 // path's direct solve alike. The Cholesky rung's wire name tells the
 // two apart: "supernodal" on scalar systems, "block-cholesky" on the
 // block companion, so health reports, Result.Factorer and fault
@@ -59,29 +59,34 @@ func (st *factorStats) set(nnz int, flops int64, fill float64) {
 
 // scalarRungs builds the ladder rungs for a scalar (n×n) system
 // matrix: supernodal → lu → cg+ic0.
-func scalarRungs(a *sparse.Matrix, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
-	return ladderRungs("supernodal", a, perm, workers, cfg, forceLU, st)
+func scalarRungs(a *sparse.Matrix, sym *factor.SuperSymbolic, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+	return ladderRungs("supernodal", a, sym, perm, workers, cfg, forceLU, st)
 }
 
 // blockRungs builds the ladder rungs for a node-major block companion
 // (assembleBlock) under the node permutation perm, lifted to its b
 // unknowns per node: block-cholesky → lu → cg+ic0.
 func blockRungs(a *sparse.Matrix, perm []int, b, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
-	return ladderRungs("block-cholesky", a, expandPerm(perm, b), workers, cfg, forceLU, st)
+	return ladderRungs("block-cholesky", a, nil, expandPerm(perm, b), workers, cfg, forceLU, st)
 }
 
 // ladderRungs builds a ladder over the symmetric matrix a: the
-// supernodal Cholesky rung named chol → lu (pivot-growth checked) →
-// cg+ic0. forceLU drops the Cholesky rung (the ablation switch).
-// workers caps the supernodal factorization's task pool — the factor
-// is bit-identical for every value. st, when non-nil, receives the
+// supernodal Cholesky rung named chol, factoring on sym (a shared
+// analysis of a pattern holding a's; nil analyzes a under perm) → lu
+// (pivot-growth checked) → cg+ic0. forceLU drops the Cholesky rung (the
+// ablation switch). workers caps the supernodal factorization's task
+// pool — the factor is bit-identical for every value. st, when
+// non-nil, receives the
 // factor's cost facts on each successful direct factorization.
-func ladderRungs(chol string, a *sparse.Matrix, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
+func ladderRungs(chol string, a *sparse.Matrix, sym *factor.SuperSymbolic, perm []int, workers int, cfg numguard.Config, forceLU bool, st *factorStats) []numguard.Rung {
 	cfg = cfg.WithDefaults()
 	var out []numguard.Rung
 	if !forceLU {
 		out = append(out, numguard.Rung{Name: chol, Prepare: func() (numguard.Solver, error) {
-			sym := factor.CholAnalyzeSupernodal(a, perm, -1)
+			sym := sym
+			if sym == nil {
+				sym = factor.CholAnalyzeSupernodal(a, perm, -1)
+			}
 			f, err := sym.Factorize(a, nil, parallel.Workers(workers))
 			if err != nil {
 				return nil, err

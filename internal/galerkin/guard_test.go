@@ -18,11 +18,12 @@ import (
 // every transition deterministically, via the fault-injection hooks:
 // the coupled CG path's true-residual check and its escalation to the
 // block ladder, refinement recovery, Cholesky→LU escalation,
-// mid-transient NaN step retry, and full-ladder exhaustion. The
-// block-rung faults first force the CG → block escalation with a NaN
-// in one CG solve. Each asserts the hard invariant that no injected
-// fault ever yields NaN/Inf chaos coefficients without an
-// accompanying error.
+// mid-transient NaN step retry, and full-ladder exhaustion. The CG
+// faults run on an off-die grid (offDieSmall), whose variation is not
+// separable; the block-rung faults first force the CG → block
+// escalation with a NaN in one CG solve. Each asserts the hard
+// invariant that no injected fault ever yields NaN/Inf chaos
+// coefficients without an accompanying error.
 
 // TestLadderShapes pins one Cholesky rung per ladder, named for the
 // matrix shape, followed by LU and CG; forceLU drops it.
@@ -42,8 +43,8 @@ func TestLadderShapes(t *testing.T) {
 		rungs []numguard.Rung
 		want  []string
 	}{
-		{"scalar", scalarRungs(a, nil, 1, cfg, false, nil), []string{"supernodal", "lu", "cg+ic0"}},
-		{"scalar/forceLU", scalarRungs(a, nil, 1, cfg, true, nil), []string{"lu", "cg+ic0"}},
+		{"scalar", scalarRungs(a, nil, nil, 1, cfg, false, nil), []string{"supernodal", "lu", "cg+ic0"}},
+		{"scalar/forceLU", scalarRungs(a, nil, nil, 1, cfg, true, nil), []string{"lu", "cg+ic0"}},
 		{"block", blockRungs(bm, nil, 2, 1, cfg, false, nil), []string{"block-cholesky", "lu", "cg+ic0"}},
 		{"block/forceLU", blockRungs(bm, nil, 2, 1, cfg, true, nil), []string{"lu", "cg+ic0"}},
 	} {
@@ -51,6 +52,20 @@ func TestLadderShapes(t *testing.T) {
 			t.Errorf("%s ladder %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// offDieSmall is smallGrid with its last resistor off-die: the
+// variation is not separable, so CG serves it, and its pulse still
+// starts at step 4.
+func offDieSmall(t *testing.T) *mna.System {
+	t.Helper()
+	nl := smallGrid()
+	offDie(nl, len(nl.Resistors))
+	sys, err := mna.Build(nl, mna.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func maxAbsDiff(a, b [][]float64) float64 {
@@ -66,10 +81,7 @@ func maxAbsDiff(a, b [][]float64) float64 {
 }
 
 func TestInjectDriftRecoveredByRefinement(t *testing.T) {
-	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := offDieSmall(t)
 	// Verify every step: a consistent drift on unverified steps would
 	// otherwise pass through on the default cadence by design.
 	opts := Options{Step: tStep, Steps: 10, Guard: numguard.Config{VerifyEvery: 1}}
@@ -105,10 +117,7 @@ func TestInjectDriftRecoveredByRefinement(t *testing.T) {
 }
 
 func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
-	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := offDieSmall(t)
 	opts := Options{Step: tStep, Steps: 10}
 	refMean, _, _ := runGalerkin(t, sys, 2, opts)
 
@@ -138,10 +147,7 @@ func TestInjectCholeskyBreakdownEscalatesToLU(t *testing.T) {
 }
 
 func TestInjectNaNMidTransientRetriesStep(t *testing.T) {
-	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := offDieSmall(t)
 	opts := Options{Step: tStep, Steps: 10}
 	refMean, _, _ := runGalerkin(t, sys, 2, opts)
 
@@ -284,10 +290,7 @@ func TestInjectDecoupledPathEscalates(t *testing.T) {
 func TestInjectIterativePathEscalatesToDirect(t *testing.T) {
 	// A NaN injected into the coupled CG solve mid-transient must hand
 	// the step to the block ladder and keep the rest of the run there.
-	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := offDieSmall(t)
 	opts := Options{Step: tStep, Steps: 10}
 	refMean, _, _ := runGalerkin(t, sys, 2, opts)
 
@@ -324,10 +327,7 @@ func TestInjectIterativePathEscalatesToDirect(t *testing.T) {
 // solve, always verified, fails it and hands the window to the block
 // ladder, whose answers match the direct oracle.
 func TestInjectDriftFailsTrueResidual(t *testing.T) {
-	sys, err := mna.Build(smallGrid(), mna.DefaultSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := offDieSmall(t)
 	gsys, err := From(sys, pce.NewHermiteBasis(2, 2))
 	if err != nil {
 		t.Fatal(err)

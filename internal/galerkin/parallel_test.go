@@ -25,8 +25,9 @@ func TestSumTermsSingleTermNoAlias(t *testing.T) {
 	tr.Add(1, 0, -1)
 	a := tr.Compile()
 	before := append([]float64(nil), a.Val...)
+	id := sparse.Identity(3) // the chaos coupling of a mean term
 
-	sum := sumTerms([]Term{{A: a}}, 2)
+	sum := sumTerms([]Term{{Coupling: id, A: a}}, 2)
 	if sum == a {
 		t.Fatal("sumTerms returned the term's own matrix")
 	}
@@ -43,7 +44,7 @@ func TestSumTermsSingleTermNoAlias(t *testing.T) {
 	if z := sumTerms(nil, 2); z.NNZ() != 0 || z.Rows != 2 {
 		t.Errorf("empty sum: %dx%d with %d nnz", z.Rows, z.Cols, z.NNZ())
 	}
-	two := sumTerms([]Term{{A: a}, {A: a}}, 2)
+	two := sumTerms([]Term{{Coupling: id, A: a}, {Coupling: id, A: a}}, 2)
 	if two == a {
 		t.Fatal("two-term sum aliases the input")
 	}
@@ -79,7 +80,7 @@ func rhsOnlySystemOn(t *testing.T, basis *pce.Basis) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gsys.RHSOnly() {
+	if p := planEigen(gsys); p == nil || p.mixed {
 		t.Fatal("system should be RHS-only")
 	}
 	return gsys
@@ -185,8 +186,8 @@ func TestDecoupledParallelDeterminism(t *testing.T) {
 
 // perColumnDecoupled is the reference for the decoupled path: every
 // chaos column of System.RHS solved on its own through the numguard
-// ladders at every step, excited or not — the per-basis loop
-// solveDecoupled ran before its solves were batched, unexcited columns
+// ladders at every step, excited or not — the per-basis loop the
+// decoupled path ran before its solves were batched, unexcited columns
 // skipped and each excitation source solved once for all the blocks it
 // weights.
 func perColumnDecoupled(t *testing.T, sys *System, opts Options) [][][]float64 {
@@ -197,9 +198,9 @@ func perColumnDecoupled(t *testing.T, sys *System, opts Options) [][][]float64 {
 	companion := sparse.Add(1, g0, 1/opts.Step, c0)
 	perm := order.Permute(opts.Ordering, companion)
 	lad := numguard.NewLadder("step", opts.Guard, companion, companion.NormInf(),
-		scalarRungs(companion, perm, 1, opts.Guard, false, nil), nil)
+		scalarRungs(companion, nil, perm, 1, opts.Guard, false, nil), nil)
 	dcLad := numguard.NewLadder("dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, perm, 1, opts.Guard, false, nil), nil)
+		scalarRungs(g0, nil, perm, 1, opts.Guard, false, nil), nil)
 	blocks, rhs := alloc2(b, n), alloc2(b, n)
 	cx, r := make([]float64, n), make([]float64, n)
 	snaps := make([][][]float64, opts.Steps+1)
@@ -339,8 +340,8 @@ func TestDecoupledSourcesMatchPerColumn(t *testing.T) {
 // 64-row chunks and the preconditioner's column ranges — on the
 // non-separable grid, for a window CG serves to the end and for one
 // that hands off to the block factor (the decision is made from counts
-// alone, so it agrees too). TestSeparablePrecondParallelDeterminism
-// covers separable windows.
+// alone, so it agrees too). TestEigenbasisParallelDeterminism covers
+// separable systems.
 func TestCoupledParallelDeterminism(t *testing.T) {
 	gsys := mediumOffDieSystem(t)
 	for _, tc := range []struct {

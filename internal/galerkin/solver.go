@@ -2,11 +2,15 @@ package galerkin
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"opera/internal/cancel"
+	"opera/internal/factor"
 	"opera/internal/numguard"
+	"opera/internal/numguard/inject"
 	"opera/internal/obs"
 	"opera/internal/order"
 	"opera/internal/parallel"
@@ -20,19 +24,19 @@ type Options struct {
 	// Ordering selects the fill-reducing permutation of every
 	// factorization the solve runs; the zero value is AMD.
 	Ordering order.Method
-	// ForceCoupled disables the automatic decoupled fast path (used by
-	// the ablation benchmarks to measure its benefit).
+	// ForceCoupled sends every system, separable ones included, to the
+	// coupled CG (the ablation reference for the eigenbasis recursions).
 	ForceCoupled bool
-	// ForceLU skips every Cholesky attempt: the scalar ladders (the
-	// decoupled path, the coupled preconditioners) and the coupled
-	// block ladder all start at LU. The augmented Galerkin matrix is
-	// SPD for realistic variation magnitudes; LU covers the rest.
+	// ForceLU skips every Cholesky attempt: the eigenbasis ladders, the
+	// coupled CG's mean preconditioner and the block ladder all start
+	// at LU. The augmented Galerkin matrix is SPD for realistic
+	// variation magnitudes; LU covers the rest.
 	ForceLU bool
-	// Workers caps the worker pool of the decoupled fast path's
-	// column chunks and of the coupled path's Kronecker apply and
-	// preconditioner column ranges (one batched solve per worker); 0
-	// or negative means GOMAXPROCS. Results are bit-identical for
-	// every value.
+	// Workers caps the worker pool of the eigenbasis path's factors and
+	// recursion chunks and of the coupled path's Kronecker apply and
+	// preconditioner column ranges (one batched solve per worker); 0 or
+	// negative means GOMAXPROCS. Results are bit-identical for every
+	// value.
 	Workers int
 	// Guard tunes the numerical-robustness layer (residual tolerance,
 	// refinement caps, verification cadence). The zero value uses the
@@ -47,8 +51,8 @@ type Options struct {
 	// every solve path; a stall watchdog can poll it to distinguish a
 	// slow solve from a hung one. Nil disables the marks.
 	Progress *obs.Progress
-	// Ctx, when non-nil, is polled at every time step (all three solve
-	// paths) and before every chunk solve on the decoupled path; a
+	// Ctx, when non-nil, is polled at every time step (every solve
+	// path) and before every chunk solve on the eigenbasis path; a
 	// canceled or expired context stops the solve within one step with
 	// a structured error wrapping cancel.ErrCanceled, leaving factors
 	// and the numguard ladder reusable. Nil disables the check.
@@ -71,20 +75,19 @@ func (o Options) Validate() error {
 // (galerkin.cg_iterations_total et al.); Result keeps the structural
 // facts of the solve plus the guard report accessor.
 type Result struct {
+	// Decoupled reports a deterministic operator (§5.1).
 	Decoupled bool
-	// Factorer names what served the solve. Coupled: "cg+mean-precond"
-	// (CG on the augmented system), the block ladder's rung
-	// ("block-cholesky", the supernodal kernel on the block companion;
-	// "lu" under ForceLU) after a cost handoff, or
-	// "cg+mean-precond→<rung>" after a CG fault escalated to it.
-	// Decoupled: the scalar ladder's rung ("supernodal", "lu" or
-	// "cg+ic0").
+	// Factorer names what served the solve: the furthest rung the
+	// eigenbasis ladders reached ("supernodal", "lu", "cg+ic0");
+	// "cg+mean-precond" for CG, or the block ladder's rung
+	// ("block-cholesky"; "lu" under ForceLU) after its cost handoff;
+	// "<eigenbasis|cg+mean-precond>→<rung>" after a fault moved the
+	// window to the block ladder.
 	Factorer   string
-	AugmentedN int // size of the augmented system
-	// FactorNNZ is nnz(L) of the factor the steps ran on: one
-	// preconditioner factor's while CG serves (the separable
-	// preconditioner's factors all share one pattern), the block
-	// companion's after a handoff or escalation.
+	AugmentedN int // size of the system solved: n·B, or n when Decoupled
+	// FactorNNZ is nnz(L) of the factor the steps ran on: one step
+	// factor's on the eigenbasis path (all share one pattern), the
+	// preconditioner's while CG serves, else the block companion's.
 	FactorNNZ int
 	StepsRun  int
 
@@ -111,7 +114,8 @@ func (r Result) Guard() *numguard.Report { return r.guard }
 // the DC initialization (step 0) and after every time step with the
 // chaos coefficient blocks: coeffs[m][i] is the coefficient of basis
 // function m at node i. The slices are views into solver state — copy
-// anything retained.
+// anything retained. An exactly separable system steps as recursions in
+// the chaos eigenbasis; any other, or any under ForceCoupled, by CG.
 func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][]float64)) (Result, error) {
 	if err := sys.Validate(); err != nil {
 		return Result{}, err
@@ -119,121 +123,163 @@ func Solve(sys *System, opts Options, visit func(step int, t float64, coeffs [][
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	if sys.RHSOnly() && !opts.ForceCoupled {
-		return solveDecoupled(sys, opts, visit)
+	if !opts.ForceCoupled {
+		if p := planEigen(sys); p != nil {
+			res, err := solveRecursions(sys, p, opts, visit)
+			if err != errFactorsTooLarge {
+				return res, err
+			}
+		}
 	}
 	return solveCoupled(sys, opts, visit)
 }
 
-// solveDecoupled exploits a deterministic operator (§5.1, Eq. 27): one
-// n×n factorization, one independent recursion per excitation source.
-// Every solve runs through the numguard escalation ladder (supernodal →
-// lu → cg+ic0) with residual verification.
+// eigenRung names the eigenbasis step in transitions, Result.Factorer
+// and fault injection, which corrupts its mixed-out state.
+const eigenRung = "eigenbasis"
+
+var errFactorsTooLarge = errors.New("galerkin: eigenbasis factors exceed maxBlockFactorBytes")
+
+// solveRecursions steps the recursions of p (separable.go). One
+// supernodal analysis of the mean companion G₀ + C₀/h serves G₀ (for DC)
+// and every shift; each factor has a scalar ladder of its own, prepared
+// in parallel, that verifies every recursion solve on the cadence. A
+// recursion stays unsolved at +0, and out of the blocks, until its
+// excitation has a nonzero entry. The live recursions split into one
+// chunk per worker, with one batched SolveMany per run sharing a shift;
+// a batched solve's per-column arithmetic is independent of the batch
+// and each block sums its terms in a fixed order, so coefficients are
+// bit-identical for every worker count.
 //
-// Every chaos block sees the same operator, and block m's excitation is
-// w·u_j(t) for the one source j that weights it, so by linearity block
-// m is w·y_j, y_j the state source j alone drives. A step therefore
-// solves each live source once, however many blocks it weights, and
-// writes each of those blocks as one scalar times the source's state.
-// The scaled residual ‖Ax−b‖/(‖A‖‖x‖) is invariant under scaling, so
-// the residual verified for y_j holds for every block it writes. A
-// source turns live once it weights some block and its excitation has
-// a nonzero entry (its state is nonzero only after that). Until then
-// its state would solve to exactly +0, so it is left unsolved, and a
-// block no live source weights stays +0.
-//
-// The live sources split into one contiguous chunk per worker; each
-// chunk forms its right-hand sides u_j + c0·y_j/h in place, makes one
-// batched ladder SolveMany — a single sweep over the factor — and
-// writes its sources' blocks. Source j reads and writes only its own
-// state, right-hand side and blocks, and a batched solve's per-column
-// arithmetic is independent of the batch, so coefficients are
-// bit-identical for every worker count, including 1.
-func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
+// With Q = I each block is one weight times one verified recursion, and
+// the scaled residual ‖Ax−b‖/(‖A‖‖x‖) is invariant under scaling.
+// Otherwise each verified step also checks the mixed-out state against
+// the Kronecker-form operator; above tolerance the step and the rest of
+// the window move to the block ladder.
+func solveRecursions(sys *System, p *eigenPlan, opts Options, visit func(int, float64, [][]float64)) (Result, error) {
 	tr := opts.Obs
-	n, b, nsrc := sys.N, sys.Basis.Size(), len(sys.Weights)
-	spA := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
-	g0 := sumTerms(sys.GTerms, n)
-	c0 := sumTerms(sys.CTerms, n)
-	companion := sparse.Add(1, g0, 1/opts.Step, c0)
-	spA.End()
-	res := Result{Decoupled: true, AugmentedN: n}
+	n, b, nrec := sys.N, sys.Basis.Size(), len(p.recs)
+	workers := parallel.Workers(opts.Workers)
+	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()), obs.Int("n", n))
+	mean := sparse.Add(1, p.g0, 1/opts.Step, p.c0) // holds G₀'s pattern and every shift's
+	perm := order.Permute(opts.Ordering, mean)
+	spO.End()
+
 	rep := &numguard.Report{}
 	rep.Bind(tr.Registry())
-	res.guard = rep
-	// The companion's pattern contains G̃0's, so one permutation serves
-	// both ladders.
-	spO := tr.Start("order", obs.String("ordering", opts.Ordering.String()))
-	perm := order.Permute(opts.Ordering, companion)
-	spO.End()
 	spF := tr.Start("factor")
-	st := &factorStats{}
-	lad := numguard.NewLadder("step", opts.Guard, companion, companion.NormInf(),
-		scalarRungs(companion, perm, opts.Workers, opts.Guard, opts.ForceLU, st), rep)
-	if _, err := lad.Solver(0); err != nil {
-		return Result{}, fmt.Errorf("galerkin: decoupled companion factorization: %w", err)
+	spA := tr.Start("galerkin.assemble", obs.Int("n", n), obs.Int("basis", b))
+	mats := []*sparse.Matrix{p.g0} // factor 0 is G₀; factor 1+s is G₀ + λ_s·C₀/h
+	for _, l := range p.shifts {
+		mats = append(mats, sparse.Add(1, p.g0, l/opts.Step, p.c0))
 	}
-	dcLad := numguard.NewLadder("dc", opts.Guard, g0, g0.NormInf(),
-		scalarRungs(g0, perm, opts.Workers, opts.Guard, opts.ForceLU, nil), rep)
-	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
-	spF.SetAttrs(obs.String("rung", lad.Rung()), obs.Int("factor_nnz", res.FactorNNZ))
+	var aug *augmented // the Kronecker-form check's, when Q ≠ I
+	if p.mixed {
+		aug = newAugmented(sys, opts, perm, workers, rep)
+	}
+	spA.End()
+	sym := factor.CholAnalyzeSupernodal(mean, perm, -1)
+	if float64(len(mats))*float64(sym.PanelNNZ())*8 > maxBlockFactorBytes {
+		spF.End()
+		return Result{}, errFactorsTooLarge
+	}
+	res := Result{Decoupled: !p.mixed, AugmentedN: n, guard: rep}
+	if p.mixed {
+		res.AugmentedN = n * b
+	}
+	pool := min(workers, len(mats))
+	lads := make([]*numguard.Ladder, len(mats))
+	stats := make([]factorStats, len(mats))
+	var rungs []string
+	for f, a := range mats {
+		rs := scalarRungs(a, sym, perm, workers/pool, opts.Guard, opts.ForceLU, &stats[f])
+		stage := "step"
+		if f == 0 {
+			stage = "dc"
+			for _, r := range rs {
+				rungs = append(rungs, r.Name)
+			}
+		}
+		lads[f] = numguard.NewLadder(stage, opts.Guard, a, a.NormInf(), rs, rep)
+	}
+	errs := make([]error, len(mats))
+	if err := parallel.ForEach(pool, len(mats), func(_, f int) error {
+		_, errs[f] = lads[f].Solver(0)
+		return nil
+	}); err != nil {
+		return Result{}, err
+	}
+	if err := errors.Join(errs...); err != nil {
+		return Result{}, fmt.Errorf("galerkin: eigenbasis factorization: %w", err)
+	}
+	// describe reports the step ladder that escalated furthest.
+	describe := func() {
+		k := 1
+		for f := 2; f < len(lads); f++ {
+			if slices.Index(rungs, lads[f].Rung()) > slices.Index(rungs, lads[k].Rung()) {
+				k = f
+			}
+		}
+		res.Factorer = lads[k].Rung()
+		res.FactorNNZ, res.FactorFlops, res.FillRatio = stats[k].nnz, stats[k].flops, stats[k].fill
+	}
+	describe()
+	spF.SetAttrs(obs.String("rung", res.Factorer), obs.Int("factor_nnz", res.FactorNNZ), obs.Int("step_factors", len(p.shifts)))
 	spF.End()
+
 	spT := tr.Start("transient", obs.Int("steps", opts.Steps))
 	spT.MarkAllocsApprox() // the chunk fan-out allocates on worker goroutines
 	defer spT.End()
-	workers := min(parallel.Workers(opts.Workers), nsrc)
+	chunks := min(workers, nrec)
 	reg := tr.Registry()
-	reg.Gauge("parallel.workers").Set(float64(workers))
-	stepMS := reg.Histogram("galerkin.step_ms", obs.MSBuckets)
-	stepsTotal := reg.Counter("galerkin.steps_total")
-	// galerkin.solve_ms.w<k> observes each chunk solve worker k runs:
-	// forming the chunk's right-hand sides, its one SolveMany and
-	// writing its sources' blocks.
-	workerMS := make([]*obs.Histogram, workers)
+	reg.Gauge("parallel.workers").Set(float64(chunks))
+	// galerkin.solve_ms.w<k> observes each chunk solve worker k runs.
+	workerMS := make([]*obs.Histogram, chunks)
 	for w := range workerMS {
 		workerMS[w] = reg.WorkerHistogram("galerkin.solve_ms", w, obs.MSBuckets)
 	}
 	blocks := alloc2(b, n)
-	// state[j] is y_j; rhs[j] receives u_j(t) and becomes the step's
-	// right-hand side in place.
-	state, rhs := alloc2(nsrc, n), alloc2(nsrc, n)
-	weighted := make([][]int, nsrc) // the blocks each source weights
-	for m := 0; m < b; m++ {
-		if j := sys.source(m); j >= 0 {
-			weighted[j] = append(weighted[j], m)
-		}
-	}
-	// Per-worker chunk scratch, reused every step: the C·x product and
-	// the chunk's solution and right-hand-side column headers.
+	src := alloc2(len(sys.Weights), n) // the excitation sources u_j(t)
+	// state[r] is recursion r's y; rhs[r] receives its excitation and
+	// becomes the step's right-hand side in place.
+	state, rhs := alloc2(nrec, n), alloc2(nrec, n)
+	// Per-worker chunk scratch: the C·y product and the batch headers.
 	type chunkScratch struct {
-		cx     []float64
+		cy     []float64
 		xs, bs [][]float64
 	}
-	scratch := make([]chunkScratch, workers)
+	scratch := make([]chunkScratch, chunks)
 	for w := range scratch {
-		scratch[w] = chunkScratch{cx: make([]float64, n), xs: make([][]float64, 0, nsrc), bs: make([][]float64, 0, nsrc)}
+		scratch[w] = chunkScratch{cy: make([]float64, n), xs: make([][]float64, 0, nrec), bs: make([][]float64, 0, nrec)}
 	}
-	live := make([]bool, nsrc)
-	srcs := make([]int, 0, nsrc) // live sources, ascending
-	// markLive adds every source that weights a block and whose fresh
-	// excitation has a nonzero entry.
+	live := make([]bool, nrec)
+	recs := make([]int, 0, nrec) // live recursions, ascending
 	markLive := func() {
 		grew := false
-		for j := range live {
-			if !live[j] && len(weighted[j]) > 0 && !allZero(rhs[j]) {
-				live[j], grew = true, true
+		for r, on := range live {
+			if !on {
+				combine(rhs[r], p.recs[r].coef, src, nil)
+				if !allZero(rhs[r]) {
+					live[r], grew = true, true
+				}
 			}
 		}
 		if grew {
-			srcs = srcs[:0]
-			for j, on := range live {
+			recs = recs[:0]
+			for r, on := range live {
 				if on {
-					srcs = append(srcs, j)
+					recs = append(recs, r)
 				}
 			}
 		}
 	}
 	step := 0 // the step solveChunk solves; 0 is the DC solve
+	factorOf := func(r int) int {
+		if step == 0 {
+			return 0
+		}
+		return 1 + p.recs[r].shift
+	}
 	solveChunk := func(worker, lo, hi int) error {
 		if err := cancel.Poll(opts.Ctx, "galerkin.decoupled", step); err != nil {
 			return err
@@ -243,71 +289,145 @@ func solveDecoupled(sys *System, opts Options, visit func(int, float64, [][]floa
 		if step > 0 && workerMS[worker] != nil {
 			solveStart = time.Now()
 		}
-		sc.xs, sc.bs = sc.xs[:0], sc.bs[:0]
-		for _, j := range srcs[lo:hi] {
-			r := rhs[j]
-			if step > 0 {
-				c0.MulVec(sc.cx, state[j])
-				for i := range r {
-					r[i] += sc.cx[i] / opts.Step
+		for s := lo; s < hi; {
+			f := factorOf(recs[s])
+			e := s + 1
+			for e < hi && factorOf(recs[e]) == f {
+				e++
+			}
+			sc.xs, sc.bs = sc.xs[:0], sc.bs[:0]
+			for _, r := range recs[s:e] {
+				combine(rhs[r], p.recs[r].coef, src, nil)
+				if step > 0 {
+					l := p.shifts[f-1]
+					p.c0.MulVec(sc.cy, state[r])
+					for i := range rhs[r] {
+						rhs[r][i] += l * sc.cy[i] / opts.Step
+					}
 				}
+				sc.xs = append(sc.xs, state[r])
+				sc.bs = append(sc.bs, rhs[r])
 			}
-			sc.xs = append(sc.xs, state[j])
-			sc.bs = append(sc.bs, r)
-		}
-		if step == 0 {
-			if err := dcLad.SolveMany(0, sc.xs, sc.bs); err != nil {
-				return fmt.Errorf("galerkin: decoupled DC solve (sources %d..%d): %w", srcs[lo], srcs[hi-1], err)
+			if err := lads[f].SolveMany(step, sc.xs, sc.bs); err != nil {
+				return fmt.Errorf("galerkin: eigenbasis step %d (recursions %d..%d): %w", step, recs[s], recs[e-1], err)
 			}
-		} else if err := lad.SolveMany(step, sc.xs, sc.bs); err != nil {
-			return fmt.Errorf("galerkin: decoupled step %d (sources %d..%d): %w", step, srcs[lo], srcs[hi-1], err)
-		}
-		for _, j := range srcs[lo:hi] {
-			for _, m := range weighted[j] {
-				scaleTo(blocks[m], sys.Weights[j][m], state[j])
-			}
+			s = e
 		}
 		if step > 0 && workerMS[worker] != nil {
 			workerMS[worker].ObserveSince(solveStart)
 		}
 		return nil
 	}
-	sys.Sources(0, rhs)
-	markLive()
-	if err := parallel.Split(workers, len(srcs), solveChunk); err != nil {
+	mixOut := func(_, lo, hi int) error {
+		for m := lo; m < hi; m++ {
+			combine(blocks[m], p.mix[m], state, live)
+		}
+		return nil
+	}
+	cfg := opts.Guard.WithDefaults()
+	// solve solves step k at time t into blocks.
+	solve := func(k int, t float64) error {
+		step = k
+		if aug != nil && aug.block != nil {
+			err := aug.step(k, t)
+			aug.unpack(aug.x, blocks)
+			return err
+		}
+		sys.Sources(t, src)
+		markLive()
+		check := p.mixed && cfg.ShouldVerify(k)
+		if check {
+			aug.pack(blocks, aug.x) // the previous step's state
+			aug.load(t, k > 0)
+		}
+		if err := parallel.Split(chunks, len(recs), solveChunk); err != nil {
+			return err
+		}
+		lads[0] = nil // G₀'s factor serves the DC solve alone
+		if err := parallel.Split(workers, b, mixOut); err != nil || !check {
+			return err
+		}
+		aug.pack(blocks, aug.x)
+		inject.CorruptSolve(eigenRung, k, aug.x)
+		op, norm := aug.stepOp, aug.stepNorm
+		if k == 0 {
+			op, norm = aug.gOp, aug.gNorm
+		}
+		if r := numguard.ScaledResidual(op, norm, aug.work, aug.x, aug.rhs); r <= cfg.ResidualTol {
+			rep.Accept(r)
+		} else if err := aug.escalate(eigenRung, k, fmt.Sprintf("Kronecker-form residual %.3g above tolerance %.3g", r, cfg.ResidualTol)); err != nil {
+			return fmt.Errorf("galerkin: eigenbasis step %d: %w", k, err)
+		}
+		aug.unpack(aug.x, blocks)
+		return nil
+	}
+	if err := stepWindow(opts, "galerkin.decoupled", &res, visit, solve, func() [][]float64 { return blocks }); err != nil {
 		return Result{}, err
 	}
+	// live_columns counts the batched solves' columns.
+	spT.SetAttrs(obs.Int("live_columns", len(recs)))
+	if aug != nil && aug.block != nil {
+		aug.describe(&res)
+		return res, nil
+	}
+	describe() // an escalation can have moved a ladder to a costlier factor
+	// The smallest shift's companion lies nearest G₀, the worst
+	// conditioned of the step factors in practice.
+	res.CondEst = lads[1].CondEstimate(n)
+	return res, nil
+}
+
+// stepWindow runs a window: the DC solve, solve(0, 0), then solve(k, t)
+// for every step, with what every path does around a step: the cancel
+// poll under stage, the step histogram and counter, the progress mark,
+// the visit of blocks() and the step count on res.
+func stepWindow(opts Options, stage string, res *Result, visit func(int, float64, [][]float64), solve func(k int, t float64) error, blocks func() [][]float64) error {
+	stepMS := opts.Obs.Registry().Histogram("galerkin.step_ms", obs.MSBuckets)
+	stepsTotal := opts.Obs.Registry().Counter("galerkin.steps_total")
+	if err := solve(0, 0); err != nil {
+		return err
+	}
 	if visit != nil {
-		visit(0, 0, blocks)
+		visit(0, 0, blocks())
 	}
 	for k := 1; k <= opts.Steps; k++ {
-		if err := cancel.Poll(opts.Ctx, "galerkin.decoupled", k); err != nil {
-			return Result{}, err
+		if err := cancel.Poll(opts.Ctx, stage, k); err != nil {
+			return err
 		}
-		step = k
 		t := float64(k) * opts.Step
 		stepStart := time.Now()
-		sys.Sources(t, rhs)
-		markLive()
-		if err := parallel.Split(workers, len(srcs), solveChunk); err != nil {
-			return Result{}, err
+		if err := solve(k, t); err != nil {
+			return err
 		}
 		stepMS.ObserveSince(stepStart)
 		stepsTotal.Inc()
 		opts.Progress.Mark()
 		if visit != nil {
-			visit(k, t, blocks)
+			visit(k, t, blocks())
 		}
 		res.StepsRun = k
 	}
-	// live_columns counts the live sources: the columns of the batched
-	// solves.
-	spT.SetAttrs(obs.Int("live_columns", len(srcs)))
-	res.Factorer = lad.Rung()
-	// Escalations can have moved the solve to a costlier factor.
-	res.FactorNNZ, res.FactorFlops, res.FillRatio = st.nnz, st.flops, st.fill
-	res.CondEst = lad.CondEstimate(n)
-	return res, nil
+	return nil
+}
+
+// combine sets dst = Σ_i c[i]·v[i] over the i with c[i] ≠ 0 (and on[i],
+// when on is non-nil): the first term written, the others added in
+// ascending order. dst is left alone when no term is left.
+func combine(dst, c []float64, v [][]float64, on []bool) {
+	first := true
+	for i, ci := range c {
+		if ci == 0 || (on != nil && !on[i]) {
+			continue
+		}
+		if first {
+			scaleTo(dst, ci, v[i])
+			first = false
+			continue
+		}
+		for k, x := range v[i] {
+			dst[k] += ci * x
+		}
+	}
 }
 
 // allZero reports whether every entry of v is zero (either sign).
@@ -320,17 +440,23 @@ func allZero(v []float64) bool {
 	return true
 }
 
-// sumTerms adds the node matrices of a term list (couplings are
-// identities on this path). The result is always freshly allocated:
-// a single-term list must NOT return the term's own matrix, or the
-// caller would mutate solver input through the alias.
+// sumTerms returns the mean node matrix of a term list, the sum of its
+// identity-coupled terms' node matrices. The result is always freshly
+// allocated: a single-term sum must NOT return the term's own matrix,
+// or the caller would mutate solver input through the alias.
 func sumTerms(ts []Term, n int) *sparse.Matrix {
-	if len(ts) == 0 {
-		return sparse.NewMatrix(n, n)
+	var acc *sparse.Matrix
+	for _, t := range ts {
+		switch {
+		case !isIdentity(t.Coupling):
+		case acc == nil:
+			acc = t.A.Clone()
+		default:
+			acc = sparse.Add(1, acc, 1, t.A)
+		}
 	}
-	acc := ts[0].A.Clone()
-	for _, t := range ts[1:] {
-		acc = sparse.Add(1, acc, 1, t.A)
+	if acc == nil {
+		return sparse.NewMatrix(n, n)
 	}
 	return acc
 }

@@ -13,12 +13,12 @@
 // 0 alone weights the mean block and every other block draws on at most
 // one source, so each block is one scalar times one source.
 //
-// The package also provides the §5.1 decoupled fast path: when only the
-// right-hand side is stochastic, the block system splits into
-// independent solves sharing a single factorization of (G + sC)
-// (Eq. 27). By linearity it solves each live source once, not each of
-// the N+1 chaos columns, and scales the source's state into the blocks
-// it weights.
+// An exactly separable system steps as independent recursions in the
+// chaos eigenbasis, each column on its own shifted companion
+// G₀ + λ·C₀/h: the Table 1 model (Eq. 13–14), and the §5.1 case where
+// only the right-hand side is stochastic (Eq. 27), whose recursions
+// share one factorization and solve each live excitation source once.
+// Every other system runs preconditioned CG on the augmented system.
 package galerkin
 
 import (
@@ -101,22 +101,6 @@ func (s *System) Validate() error {
 		return fmt.Errorf("galerkin: G(ξ) has no terms")
 	}
 	return nil
-}
-
-// RHSOnly reports whether the operator is deterministic (every coupling
-// is the identity), which enables the §5.1 decoupled fast path.
-func (s *System) RHSOnly() bool {
-	for _, t := range s.GTerms {
-		if !isIdentity(t.Coupling) {
-			return false
-		}
-	}
-	for _, t := range s.CTerms {
-		if !isIdentity(t.Coupling) {
-			return false
-		}
-	}
-	return true
 }
 
 // RHS fills the orthonormal chaos coefficients of the excitation at

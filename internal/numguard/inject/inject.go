@@ -13,9 +13,9 @@ import (
 )
 
 // Faults describes the active fault set. Maps are keyed by rung name
-// ("cg+mean-precond", "supernodal", "block-cholesky", "lu", "cg+ic0");
-// the empty string matches every rung. "supernodal" and
-// "block-cholesky" run the same kernel, the latter on the coupled
+// ("eigenbasis", "cg+mean-precond", "supernodal", "block-cholesky",
+// "lu", "cg+ic0"); the empty string matches every rung. "supernodal"
+// and "block-cholesky" run the same kernel, the latter on the coupled
 // path's block companion only, so a key fails one ladder's Cholesky
 // and not the other's.
 type Faults struct {

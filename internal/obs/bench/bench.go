@@ -34,7 +34,8 @@ type Scenario struct {
 	// Name keys the row in reports; Compare pairs baseline and new rows
 	// by it, so renaming a scenario is a baseline-breaking change.
 	Name string `json:"name"`
-	// Path selects the solve: "mc", "decoupled", "coupled",
+	// Path selects the solve: "mc", "decoupled", "separable",
+	// "coupled" (every tenth resistor off-die, so CG serves),
 	// "transient" or "factor" (repeated numeric refactorizations of
 	// the transient companion — the kernel microbenchmark).
 	Path string `json:"path"`
@@ -85,6 +86,7 @@ func QuickSuite() []Scenario {
 		{Name: "mc-256-s40", Path: "mc", Nodes: 256, Steps: 8, Samples: 40, Seed: 3},
 		{Name: "decoupled-256-o2", Path: "decoupled", Nodes: 256, Order: 2, Steps: 8, Seed: 3},
 		{Name: "coupled-128-o2", Path: "coupled", Nodes: 128, Order: 2, Steps: 6, Seed: 3},
+		{Name: "separable-128-o2", Path: "separable", Nodes: 128, Order: 2, Steps: 6, Seed: 3},
 		{Name: "factor-2k-nd-scalar", Path: "factor", Nodes: 2000, Ordering: "nd", Kernel: "scalar", Seed: 3},
 		{Name: "factor-2k-nd-super", Path: "factor", Nodes: 2000, Ordering: "nd", Kernel: "supernodal", Seed: 3},
 		{Name: "factor-2k-amd-scalar", Path: "factor", Nodes: 2000, Ordering: "amd", Kernel: "scalar", Seed: 3},
@@ -230,7 +232,12 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 			}
 			row.fromGalerkin(res.Galerkin)
 		}
-	case "coupled":
+	case "coupled", "separable":
+		if sc.Path == "coupled" {
+			for i := 9; i < len(nl.Resistors); i += 10 {
+				nl.Resistors[i].OnDie = false
+			}
+		}
 		sys, berr := mna.Build(nl, mna.DefaultSpec())
 		if berr != nil {
 			return Row{}, berr
@@ -240,7 +247,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		var res *core.Result
 		res, err = core.Analyze(sys, core.Options{
 			Order: sc.Order, Step: step, Steps: sc.Steps,
-			Ordering: ord, ForceCoupled: true, Workers: opts.Workers, Obs: tr,
+			Ordering: ord, Workers: opts.Workers, Obs: tr,
 		})
 		if err == nil {
 			row.N = res.Galerkin.AugmentedN
@@ -279,7 +286,7 @@ func runScenario(sc Scenario, opts RunOptions) (Row, error) {
 		}
 		row.FactorFlops = int64(factorReps) * flops
 	default:
-		return Row{}, fmt.Errorf("unknown path %q (want mc, decoupled, coupled, transient or factor)", sc.Path)
+		return Row{}, fmt.Errorf("unknown path %q (want mc, decoupled, separable, coupled, transient or factor)", sc.Path)
 	}
 	if err != nil {
 		return Row{}, err

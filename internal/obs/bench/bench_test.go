@@ -9,13 +9,14 @@ import (
 	"opera/internal/obs"
 )
 
-// tinySuite exercises all four solve paths at the smallest grid the
+// tinySuite exercises all five solve paths at the smallest grid the
 // generator emits, so the whole test stays well under a second.
 func tinySuite() []Scenario {
 	return []Scenario{
 		{Name: "t-transient", Path: "transient", Nodes: 64, Steps: 3, Seed: 2},
 		{Name: "t-mc", Path: "mc", Nodes: 64, Steps: 3, Samples: 4, Seed: 2},
 		{Name: "t-decoupled", Path: "decoupled", Nodes: 64, Order: 2, Steps: 3, Seed: 2},
+		{Name: "t-separable", Path: "separable", Nodes: 64, Order: 1, Steps: 2, Seed: 2},
 		{Name: "t-coupled", Path: "coupled", Nodes: 64, Order: 1, Steps: 2, Seed: 2},
 	}
 }
@@ -35,8 +36,8 @@ func TestRunAllPaths(t *testing.T) {
 	if rep.Schema != SchemaVersion {
 		t.Fatalf("schema = %d, want %d", rep.Schema, SchemaVersion)
 	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rep.Rows))
+	if len(rep.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rep.Rows))
 	}
 	for _, r := range rep.Rows {
 		if r.WallMS <= 0 {
@@ -60,7 +61,7 @@ func TestRunAllPaths(t *testing.T) {
 	}
 	// The stochastic paths carry numerical health on top.
 	for _, r := range rep.Rows {
-		if r.Path == "decoupled" || r.Path == "coupled" {
+		if r.Path == "decoupled" || r.Path == "separable" || r.Path == "coupled" {
 			if r.CondEst <= 0 {
 				t.Errorf("%s: cond_est = %g, want > 0", r.Name, r.CondEst)
 			}
@@ -73,6 +74,9 @@ func TestRunAllPaths(t *testing.T) {
 		}
 		if r.Path == "coupled" && r.CGIterations <= 0 {
 			t.Errorf("%s: cg_iterations = %d, want > 0", r.Name, r.CGIterations)
+		}
+		if r.Path == "separable" && (r.CGIterations != 0 || r.Rung != "supernodal") {
+			t.Errorf("%s: cg_iterations = %d on %q, want the eigenbasis recursions' 0 on supernodal", r.Name, r.CGIterations, r.Rung)
 		}
 	}
 }

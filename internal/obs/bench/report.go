@@ -58,8 +58,8 @@ type Row struct {
 	CondEst     float64 `json:"cond_est,omitempty"`
 	MaxResidual float64 `json:"max_residual,omitempty"`
 	Escalations int     `json:"escalations,omitempty"`
-	// CGIterations counts the coupled solve's CG iterations (coupled
-	// rows only).
+	// CGIterations counts the solve's CG iterations (coupled and
+	// separable rows; 0 on a separable row).
 	CGIterations int `json:"cg_iterations,omitempty"`
 }
 

@@ -104,7 +104,7 @@ func (p *PCA) Transform(z []float64) []float64 {
 // the squared off-diagonal sum falls below tol, or after 100. It is
 // the repository's one dense symmetric eigensolver, sized for small
 // matrices: the parameter covariances of variation models (tol 1e-24)
-// and the B×B chaos matrices of the coupled Galerkin preconditioner.
+// and the B×B chaos matrices of the Galerkin eigenbasis recursions.
 func JacobiEigen(a [][]float64, tol float64) ([]float64, [][]float64) {
 	n := len(a)
 	v := make([][]float64, n)

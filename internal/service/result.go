@@ -48,9 +48,9 @@ func guardSummary(rep *numguard.Report) *GuardSummary {
 // either end without rerunning anything.
 type NumHealth struct {
 	// Rung is the numguard ladder rung that served the solve
-	// ("cg+mean-precond", "supernodal", "block-cholesky", "lu", ...;
-	// "block-cholesky" is the supernodal kernel on the coupled block
-	// companion).
+	// ("supernodal" for the eigenbasis recursions, "cg+mean-precond",
+	// "block-cholesky", "lu", ...; "block-cholesky" is the supernodal
+	// kernel on the coupled block companion).
 	Rung string `json:"rung,omitempty"`
 	// MaxResidual is the worst accepted scaled residual ‖Ax−b‖/(‖A‖‖x‖)
 	// among verified solves.
